@@ -12,7 +12,8 @@ and exactness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 from .arith import prime_factors
 from .lattices import Lattice, image, intersect, preimage
@@ -113,12 +114,6 @@ class Word:
 
     def length(self) -> int:
         return sum(abs(e) for _, e in self.pairs)
-
-    def exponent_vector(self, num_gens: int) -> tuple[int, ...]:
-        out = [0] * num_gens
-        for i, e in self.pairs:
-            out[i] += e
-        return tuple(out)
 
     def evaluate(self, action: AlgebraicAction, allow_inverses: bool = False) -> Matrix:
         out = Matrix.identity(action.n)
@@ -236,14 +231,19 @@ def _signed_vectors(num, total):
 
 @dataclass
 class ConstructibleFamily:
-    """The depth-truncated closure of {Z^n} under images, preimages, meets."""
+    """The depth-truncated closure of {Z^n} under images, preimages, meets.
+
+    `rounds[k]` holds the lattices first reached in round k; round 0 is the
+    ambient lattice.  An empty last round means the closure saturated within
+    the depth bound.
+    """
 
     action: AlgebraicAction
     depth: int
     lattices: tuple[Lattice, ...]
     saturated: bool
     derivations: dict[Lattice, tuple]
-    snapshots: tuple[frozenset, ...] = field(default_factory=tuple)
+    rounds: tuple[tuple[Lattice, ...], ...]
 
     def indices(self) -> list[int]:
         return sorted(lat.index() for lat in self.lattices)
@@ -262,53 +262,45 @@ class ConstructibleFamily:
 
 
 def constructible_family(action: AlgebraicAction, depth: int) -> ConstructibleFamily:
+    """Semi-naive closure: each round combines only the frontier (the lattices
+    the previous round reached first) with itself and with the older lattices,
+    since every combination of older lattices alone was made in an earlier
+    round."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     root = Lattice.standard(action.n)
     derivations: dict[Lattice, tuple] = {root: ("ambient",)}
-    current = {root}
-    snapshots = [frozenset(current)]
-    saturated = False
+    rounds = [(root,)]
+    older: list[Lattice] = []
     for _ in range(depth):
-        new = dict.fromkeys(current)
-        for lat in current:
-            for name, mat in action.gens:
-                img = image(mat, lat)
-                if img not in derivations and img not in new:
-                    new[img] = None
-                    derivations.setdefault(img, ("image", name, lat))
-                pre = preimage(mat, lat)
-                if pre not in derivations and pre not in new:
-                    new[pre] = None
-                    derivations.setdefault(pre, ("preimage", name, lat))
-        for a, b in itertools.combinations(current, 2):
-            meet = intersect(a, b)
-            if meet not in derivations and meet not in new:
-                new[meet] = None
-                derivations.setdefault(meet, ("intersect", a, b))
-        derivations.update({lat: derivations.get(lat, ("ambient",)) for lat in new})
-        if set(new) == current:
+        fresh = []
+        for lat, how in _candidates(action, rounds[-1], older):
+            if lat not in derivations:
+                derivations[lat] = how
+                fresh.append(lat)
+        older.extend(rounds[-1])
+        rounds.append(tuple(fresh))
+        if not fresh:
             saturated = True
-            snapshots.append(frozenset(current))
             break
-        current = set(new)
-        snapshots.append(frozenset(current))
     else:
-        saturated = _one_more_round_adds_nothing(action, current)
-    ordered = sorted(current, key=lambda lat: (lat.index(), lat.basis.flat()))
+        saturated = all(lat in derivations for lat, _ in _candidates(action, rounds[-1], older))
+    ordered = sorted(derivations, key=lambda lat: (lat.index(), lat.basis.flat()))
     derivations = {lat: derivations[lat] for lat in ordered}
-    return ConstructibleFamily(action, depth, tuple(ordered), saturated, derivations, tuple(snapshots))
+    return ConstructibleFamily(action, depth, tuple(ordered), saturated, derivations, tuple(rounds))
 
 
-def _one_more_round_adds_nothing(action, current) -> bool:
-    for lat in current:
-        for _, mat in action.gens:
-            if image(mat, lat) not in current or preimage(mat, lat) not in current:
-                return False
-    for a, b in itertools.combinations(current, 2):
-        if intersect(a, b) not in current:
-            return False
-    return True
+def _candidates(action, frontier, older):
+    """Yield (lattice, derivation) for every image and preimage of a frontier
+    lattice and every meet of a frontier lattice with a later frontier
+    lattice or an older one."""
+    for lat in frontier:
+        for name, mat in action.gens:
+            yield image(mat, lat), ("image", name, lat)
+            yield preimage(mat, lat), ("preimage", name, lat)
+    for i, a in enumerate(frontier):
+        for b in itertools.chain(frontier[i + 1 :], older):
+            yield intersect(a, b), ("intersect", a, b)
 
 
 def replay_derivation(family: ConstructibleFamily, lat: Lattice) -> Lattice:
@@ -545,13 +537,13 @@ _UNIT_FACTOR_CAVEAT = (
 )
 
 
-def exactness(action: AlgebraicAction, depth: int = 4) -> ExactnessReport:
-    """Two-part exactness verdict.
+def exactness(family: ConstructibleFamily) -> ExactnessReport:
+    """Two-part exactness verdict for the action of a constructible family.
 
     Empirical part: track the index of the total intersection of the depth-k
-    family.  If the family saturates, the total intersection equals the
-    intersection of the whole (finite) family, which is full rank, so the
-    action is definitively not exact.
+    family, round by round.  If the family saturates, the total intersection
+    equals the intersection of the whole (finite) family, which is full rank,
+    so the action is definitively not exact.
 
     Criterion part (single generator): a cyclotomic factor of the
     characteristic polynomial, or a unit determinant, certifies a sublattice
@@ -559,12 +551,11 @@ def exactness(action: AlgebraicAction, depth: int = 4) -> ExactnessReport:
     Otherwise the action is reported exact under the companion-case theorem
     (labeled heuristic for non-companion matrices).
     """
-    family = constructible_family(action, depth)
+    action = family.action
+    total = Lattice.standard(action.n)
     indices = []
-    for snap in family.snapshots:
-        total = None
-        for lat in snap:
-            total = lat if total is None else intersect(total, lat)
+    for frontier in family.rounds:
+        total = reduce(intersect, frontier, total)
         indices.append(total.index())
     strictly = all(a < b for a, b in zip(indices, indices[1:]))
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 # Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -108,10 +108,3 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i, flag in enumerate(sieve) if flag]
-
-
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out

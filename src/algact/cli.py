@@ -6,7 +6,8 @@ identity checks), polyideal (zero-dimensional ideal battery), ring
 (structure-constant ring report).  Inputs are JSON documents; '-' reads
 stdin.  --json switches the report to machine-readable form.
 
-Exit codes: 0 success, 2 input/schema error, 3 internal invariant violation.
+Exit codes: 0 success, 2 input/schema error, 3 any other failure (a bug in
+algact, reported with its exception type).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .polyring import (
     DEGREVLEX,
     ORDERS,
     PolyParseError,
-    buchberger,
     commalg_conditions,
     mpoly_to_poly,
     parse_poly,
@@ -163,6 +163,8 @@ def load_ideal(doc: dict, pointer: str = ""):
             gens.append(parse_poly(text, names))
         except PolyParseError as exc:
             raise SchemaError(f"{pointer}/gens/{i}", str(exc)) from exc
+    if all(g.is_zero() for g in gens):
+        raise SchemaError(f"{pointer}/gens", "at least one nonzero generator required")
     return names, gens, order
 
 
@@ -210,7 +212,7 @@ def analyze_action(action: AlgebraicAction, depth: int, word_bound: int) -> dict
         sf = check_SF_via_det(action).to_dict()
     else:
         sf = {"status": "not-applicable", "witness_exponents": None, "detail": "free monoid"}
-    exact = exactness(action, depth)
+    exact = exactness(family)
     return {
         "schema": 1,
         "kind": "analyze",
@@ -549,15 +551,14 @@ def _render_groupoid(report: dict) -> list[str]:
 
 def cmd_polyideal(args) -> int:
     names, gens, order = load_ideal(_read_document(args.ideal))
-    gb = buchberger(gens, order)
-    report_conditions = commalg_conditions(gens, names, order)
+    conditions = commalg_conditions(gens, names, order)
     report = {
         "schema": 1,
         "kind": "polyideal",
         "vars": names,
         "order": order,
-        "groebner_basis": [g.format(names) for g in gb],
-        "conditions": report_conditions.to_dict(),
+        "groebner_basis": [g.format(names) for g in conditions.groebner_basis],
+        "conditions": conditions.to_dict(),
     }
     _emit(report, args.json, _render_polyideal)
     return 0
@@ -599,12 +600,15 @@ def cmd_ring(args) -> int:
         "rank": ring.n,
         "validation": validate(ring).to_dict(),
     }
-    elements = doc.get("elements", [])
+    elements = _expect(doc, "elements", list, "") if "elements" in doc else []
     if elements:
         rows = []
         for i, coords in enumerate(elements):
             coords = _int_list(coords, f"/elements/{i}", ring.n)
-            mat = act_matrix(ring, coords)
+            try:
+                mat = act_matrix(ring, coords)
+            except ValueError as exc:  # the structure constants fail validation
+                raise SchemaError(f"/elements/{i}", str(exc)) from exc
             entry = {
                 "coords": coords,
                 "matrix": [list(mat.row(r)) for r in range(ring.n)],
@@ -614,7 +618,7 @@ def cmd_ring(args) -> int:
             }
             rows.append(entry)
         report["elements"] = rows
-    generators = doc.get("generators")
+    generators = _expect(doc, "generators", list, "") if "generators" in doc else []
     if generators:
         coords_list = [_int_list(g, f"/generators/{i}", ring.n) for i, g in enumerate(generators)]
         try:
@@ -657,6 +661,13 @@ def _emit(report: dict, as_json: bool, renderer) -> None:
             print(line)
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"nonnegative integer expected, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algact",
@@ -666,8 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full action report")
     p.add_argument("action", help="action JSON file, or - for stdin")
-    p.add_argument("--depth", type=int, default=4, help="constructible-family depth (default 4)")
-    p.add_argument("--word-bound", type=int, default=6, help="group-word length bound (default 6)")
+    p.add_argument("--depth", type=_nonnegative, default=4, help="constructible-family depth (default 4)")
+    p.add_argument("--word-bound", type=_nonnegative, default=6, help="group-word length bound (default 6)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_analyze)
 
@@ -682,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("groupoid", help="materialize one finite level")
     p.add_argument("action")
     p.add_argument("--level", required=True, help="basis (row-major integers) or a single scalar k for k*Z^n")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_nonnegative, default=4)
     p.add_argument("--trace", help="write the arrow table to this JSON file (- for stdout)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_groupoid)
@@ -694,8 +705,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ring", help="structure-constant ring report")
     p.add_argument("ring")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--word-bound", type=int, default=6)
+    p.add_argument("--depth", type=_nonnegative, default=4)
+    p.add_argument("--word-bound", type=_nonnegative, default=6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ring)
     return parser
@@ -706,11 +717,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ValueError) as exc:
+    except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (InternalCheckError, ArithmeticError) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything else is a fault of algact, not of the input
+        print(f"internal invariant violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

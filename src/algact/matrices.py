@@ -351,29 +351,20 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         while True:
             # Clear column t with unimodular row combinations.
             for i in range(t + 1, nrows):
-                while a[i][t]:
-                    g, s, w = xgcd(a[t][t], a[i][t])
-                    b0, b1 = a[t][t], a[i][t]
-                    ra, ri = a[t], a[i]
-                    a[t] = [s * x + w * y for x, y in zip(ra, ri)]
-                    a[i] = [(-b1 // g) * x + (b0 // g) * y for x, y in zip(ra, ri)]
-                    ua, ui = u[t], u[i]
-                    u[t] = [s * x + w * y for x, y in zip(ua, ui)]
-                    u[i] = [(-b1 // g) * x + (b0 // g) * y for x, y in zip(ua, ui)]
+                if a[i][t]:
+                    s, w, c, d = _eliminator(a[t][t], a[i][t])
+                    for grid in (a, u):
+                        rt, ri = grid[t], grid[i]
+                        grid[t] = [s * x + w * y for x, y in zip(rt, ri)]
+                        grid[i] = [c * x + d * y for x, y in zip(rt, ri)]
             # Clear row t with unimodular column combinations.
             row_cleared = True
             for j in range(t + 1, ncols):
-                while a[t][j]:
-                    g, s, w = xgcd(a[t][t], a[t][j])
-                    b0, b1 = a[t][t], a[t][j]
-                    for row in a:
+                if a[t][j]:
+                    s, w, c, d = _eliminator(a[t][t], a[t][j])
+                    for row in a + v:
                         x, y = row[t], row[j]
-                        row[t] = s * x + w * y
-                        row[j] = (-b1 // g) * x + (b0 // g) * y
-                    for row in v:
-                        x, y = row[t], row[j]
-                        row[t] = s * x + w * y
-                        row[j] = (-b1 // g) * x + (b0 // g) * y
+                        row[t], row[j] = s * x + w * y, c * x + d * y
                     row_cleared = False
             if row_cleared and all(a[i][t] == 0 for i in range(t + 1, nrows)):
                 # Pivot must divide the remaining block, or fold a bad row in.
@@ -394,6 +385,18 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             u[t] = [-x for x in u[t]]
         t += 1
     return Matrix(a), Matrix(u), Matrix(v)
+
+
+def _eliminator(p: int, x: int) -> tuple[int, int, int, int]:
+    """A unimodular [[s, w], [c, d]] mapping (p, x) to (±gcd(p, x), 0), p != 0.
+
+    When p divides x it subtracts the exact multiple and leaves p in place.
+    xgcd(p, ±p) would return a swap instead, and the row and column passes
+    of snf would then undo each other forever."""
+    if x % p == 0:
+        return 1, 0, -(x // p), 1
+    g, s, w = xgcd(p, x)
+    return s, w, -x // g, p // g
 
 
 def _smallest_nonzero(a, t):

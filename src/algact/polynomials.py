@@ -11,7 +11,7 @@ import functools
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, euler_phi  # noqa: F401  (re-exported convenience)
+from .arith import divisors, euler_phi
 
 
 def _scalar(x):
@@ -45,10 +45,6 @@ class Poly:
     @classmethod
     def x(cls) -> "Poly":
         return cls((0, 1))
-
-    @classmethod
-    def x_pow(cls, k: int) -> "Poly":
-        return cls((0,) * k + (1,))
 
     # -- basic queries ------------------------------------------------------
 

@@ -503,6 +503,7 @@ class IdealConditionsReport:
     d_note: str | None
     dimension: int | None
     char_polys: dict[str, str] | None
+    groebner_basis: list[MPoly]  # the reduced basis the checks ran on; not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -550,7 +551,7 @@ def commalg_conditions(
     a_holds = zero_dim and all(nonzero.values())
     if not zero_dim:
         return IdealConditionsReport(
-            False, nonzero, a_holds, None, None, None, None, None, None, None, None, None, None, None
+            False, nonzero, a_holds, None, None, None, None, None, None, None, None, None, None, None, gb
         )
     qa = quotient_algebra(gb, nvars, order)
     injective = {}
@@ -618,6 +619,7 @@ def commalg_conditions(
         d_note,
         qa.dimension,
         chis,
+        gb,
     )
 
 

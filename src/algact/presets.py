@@ -46,12 +46,3 @@ EXAMPLE_ACTIONS = {
     "gaussian_1plusi": gaussian_1plusi,
     "matrix_doubling": matrix_doubling,
 }
-
-
-def example_action(name: str) -> AlgebraicAction:
-    try:
-        return EXAMPLE_ACTIONS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown example action {name!r}; available: {sorted(EXAMPLE_ACTIONS)}"
-        ) from None

@@ -256,7 +256,7 @@ def test_sf_witness_is_genuine(rng):
 
 
 def test_exactness_doubling():
-    rep = exactness(doubling(), 4)
+    rep = exactness(constructible_family(doubling(), 4))
     assert rep.verdict == "exact"
     assert rep.empirical_indices == [1, 2, 4, 8, 16]
     assert rep.strictly_increasing
@@ -265,19 +265,19 @@ def test_exactness_doubling():
 
 def test_exactness_diag21():
     action = AlgebraicAction(2, [("s", Matrix.diagonal([2, 1]))])
-    rep = exactness(action, 4)
+    rep = exactness(constructible_family(action, 4))
     assert rep.verdict == "not_exact" and rep.decided
     assert rep.criterion["cyclotomic_divisor"] == 1
 
 
 def test_exactness_unimodular():
-    rep = exactness(fibonacci(), 3)
+    rep = exactness(constructible_family(fibonacci(), 3))
     assert rep.verdict == "not_exact" and rep.decided
     assert rep.family_saturated
 
 
 def test_exactness_multi_generator_reports_only():
-    rep = exactness(doubling_tripling(), 3)
+    rep = exactness(constructible_family(doubling_tripling(), 3))
     assert rep.verdict in ("undecided", "not_exact")
     assert rep.empirical_indices[0] == 1
 

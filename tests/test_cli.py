@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from algact import cli
+import pytest
+
+from algact import actions, cli, polyring
 
 
 def write(tmp_path, name, doc):
@@ -305,6 +307,23 @@ def test_polyideal_zero_generator(tmp_path, capsys):
     path = write(tmp_path, "ideal.json", doc)
     code, _, err = run_cli(capsys, ["polyideal", path])
     assert code == 2
+    assert "/gens" in err
+
+
+def test_polyideal_computes_one_groebner_basis(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = polyring.buchberger
+
+    def counting(gens, order=polyring.DEGREVLEX):
+        calls.append(order)
+        return real(gens, order)
+
+    monkeypatch.setattr(polyring, "buchberger", counting)
+    doc = {"schema": 1, "vars": ["u", "v"], "gens": ["u^2-2", "v^2-3"]}
+    code, out, _ = run_cli(capsys, ["polyideal", write(tmp_path, "ideal.json", doc), "--json"])
+    assert code == 0
+    assert len(calls) == 1
+    assert sorted(json.loads(out)["groebner_basis"]) == ["u^2 - 2", "v^2 - 3"]
 
 
 def test_analyze_free_monoid(tmp_path, capsys):
@@ -354,6 +373,72 @@ def test_ring_unknown_preset(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["ring", path])
     assert code == 2
     assert "unknown ring preset" in err
+
+
+def test_ring_invalid_constants_with_elements_is_input_error(tmp_path, capsys):
+    # 2 * e0 * e0 breaks the unit law, so no element has a multiplication matrix.
+    doc = {"schema": 1, "rank": 1, "constants": [2], "unit": [1], "elements": [[1]]}
+    code, _, err = run_cli(capsys, ["ring", write(tmp_path, "ring.json", doc)])
+    assert code == 2
+    assert "/elements/0" in err and "invalid structure ring" in err
+
+
+@pytest.mark.parametrize("field", ["elements", "generators"])
+def test_ring_non_array_field_is_input_error(tmp_path, capsys, field):
+    doc = {"schema": 1, "preset": "Zi", field: 5}
+    code, _, err = run_cli(capsys, ["ring", write(tmp_path, "ring.json", doc)])
+    assert code == 2
+    assert f"/{field}" in err
+
+
+def test_analyze_and_ring_build_one_family_each(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = actions.constructible_family
+
+    def counting(action, depth):
+        calls.append(depth)
+        return real(action, depth)
+
+    monkeypatch.setattr(actions, "constructible_family", counting)
+    monkeypatch.setattr(cli, "constructible_family", counting)
+    code, _, _ = run_cli(capsys, ["analyze", write(tmp_path, "a.json", TIMES2), "--json"])
+    assert code == 0 and calls == [4]
+    ring = write(tmp_path, "ring.json", {"schema": 1, "preset": "Zi", "generators": [[1, 1]]})
+    code, _, _ = run_cli(capsys, ["ring", ring, "--depth", "3", "--json"])
+    assert code == 0 and calls == [4, 3]
+
+
+# -- exit codes ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("analyze", "--depth"),
+        ("analyze", "--word-bound"),
+        ("groupoid", "--depth"),
+        ("ring", "--depth"),
+        ("ring", "--word-bound"),
+    ],
+)
+def test_negative_bound_is_rejected_by_the_parser(tmp_path, capsys, command, flag):
+    path = write(tmp_path, "a.json", TIMES2)
+    extra = ["--level", "2"] if command == "groupoid" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, path, flag, "-1", *extra])
+    assert exc.value.code == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_internal_fault_exits_3_with_its_type(tmp_path, capsys, monkeypatch):
+    # A ValueError from inside the package is a bug, not an input error.
+    def broken(action, word_bound):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(cli, "check_standing", broken)
+    code, _, err = run_cli(capsys, ["analyze", write(tmp_path, "a.json", TIMES2)])
+    assert code == 3
+    assert "ValueError: matrix is singular" in err
 
 
 # -- schema version and subprocess entry -----------------------------------------

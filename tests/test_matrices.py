@@ -179,6 +179,19 @@ def test_snf_properties_random(rng):
             assert prod == abs(det)
 
 
+def test_snf_terminates_when_the_pivot_divides():
+    # Rank-3 preimage levels of the form below once made the row and column
+    # eliminations undo each other forever.
+    m = Matrix([[1, 0, 1], [0, 1, 1], [0, 0, 2]])
+    assert check_snf(m) == [1, 1, 2]
+    assert check_snf(m * 8) == [8, 8, 16]
+
+
+def test_snf_small_entries_3x3(rng):
+    for _ in range(300):
+        check_snf(random_int_matrix(rng, 3, 2))
+
+
 def gcd_of_k_minors(m, k):
     from math import gcd
 

@@ -345,12 +345,13 @@ def test_principal_exactness_known_cases():
 def test_principal_exactness_agrees_with_action_pipeline():
     # The matrix-side exactness verdict and the polynomial-side one agree on
     # companion actions.
-    from algact.actions import AlgebraicAction, exactness
+    from algact.actions import AlgebraicAction, constructible_family, exactness
 
     for coeffs in [(-2, 1), (2, -3, 1), (-1, -1, 1), (-2, 0, 1), (3, -1, 1)]:
         f = Poly(coeffs)
         action = AlgebraicAction(f.degree, [("s", Matrix.companion(f))])
-        assert (exactness(action, 3).verdict == "exact") == principal_exactness(f).exact
+        verdict = exactness(constructible_family(action, 3)).verdict
+        assert (verdict == "exact") == principal_exactness(f).exact
 
 
 def test_principal_exactness_rejects_non_monic():
