@@ -18,7 +18,7 @@ from functools import reduce
 from .arith import prime_factors
 from .lattices import Lattice, image, intersect, preimage
 from .matrices import Matrix, charpoly, is_companion, right_kernel_int
-from .polynomials import cyclotomic, cyclotomic_indices, format_poly
+from .polynomials import cyclotomic_divisor, format_poly
 
 FREE = "free"
 FREE_ABELIAN = "free-abelian"
@@ -148,18 +148,6 @@ class StandingReport:
     pc_holds: bool | None
     jf_status: str
     generator_dets: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "fi_holds": self.fi_holds,
-            "non_automorphic": self.non_automorphic,
-            "faithful_on_generators": self.faithful_on_generators,
-            "faithful_note": self.faithful_note,
-            "commuting": self.commuting,
-            "pc_holds": self.pc_holds,
-            "jf_status": self.jf_status,
-            "generator_dets": dict(self.generator_dets),
-        }
 
 
 def check_standing(action: AlgebraicAction, word_bound: int = 6) -> StandingReport:
@@ -346,11 +334,8 @@ def has_root_of_unity_eigenvalue(m: Matrix) -> tuple[bool, int | None]:
     """
     if not m.is_square:
         raise ValueError("square matrix required")
-    chi = charpoly(m)
-    for k in cyclotomic_indices(m.rows):
-        if chi.gcd(cyclotomic(k)).degree >= 1:
-            return True, k
-    return False, None
+    k = cyclotomic_divisor(charpoly(m))
+    return k is not None, k
 
 
 @dataclass
@@ -360,15 +345,6 @@ class ConditionFReport:
     failing_word: str | None
     words_checked: int
     single_generator_equivalence: dict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "holds_up_to_bound": self.holds_up_to_bound,
-            "word_bound": self.word_bound,
-            "failing_word": self.failing_word,
-            "words_checked": self.words_checked,
-            "single_generator_equivalence": self.single_generator_equivalence,
-        }
 
 
 def check_condition_F(action: AlgebraicAction, word_bound: int = 6) -> ConditionFReport:
@@ -434,13 +410,6 @@ class SFReport:
     @property
     def holds(self) -> bool:
         return self.status == "holds"
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness_exponents": list(self.witness_exponents) if self.witness_exponents else None,
-            "detail": self.detail,
-        }
 
 
 def check_SF_via_det(action: AlgebraicAction, factor_bound: int = 10**6) -> SFReport:
@@ -516,19 +485,6 @@ class ExactnessReport:
     criterion: dict | None
     caveat: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "decided": self.decided,
-            "basis": self.basis,
-            "empirical_indices": list(self.empirical_indices),
-            "strictly_increasing": self.strictly_increasing,
-            "family_saturated": self.family_saturated,
-            "stable_intersection_index": self.stable_intersection_index,
-            "criterion": self.criterion,
-            "caveat": self.caveat,
-        }
-
 
 _UNIT_FACTOR_CAVEAT = (
     "an 'exact' verdict additionally assumes the characteristic polynomial has no "
@@ -576,10 +532,7 @@ def exactness(family: ConstructibleFamily) -> ExactnessReport:
     if len(action.gens) == 1:
         mat = action.matrices[0]
         chi = charpoly(mat)
-        cyc = next(
-            (k for k in cyclotomic_indices(action.n) if chi.gcd(cyclotomic(k)).degree >= 1),
-            None,
-        )
+        cyc = cyclotomic_divisor(chi)
         label = "companion-case theorem" if is_companion(mat) else "heuristic for general matrices"
         criterion = {
             "charpoly": format_poly(chi),

@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .actions import (
     FREE,
     FREE_ABELIAN,
     AlgebraicAction,
+    SFReport,
     Word,
     check_condition_F,
     check_SF_via_det,
@@ -66,15 +67,6 @@ class CompareVerdict:
     theorem_basis: str
     hypotheses: dict
     note: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "evidence": [list(e) for e in self.evidence],
-            "theorem_basis": self.theorem_basis,
-            "hypotheses": self.hypotheses,
-            "note": self.note,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +201,9 @@ def analyze_action(action: AlgebraicAction, depth: int, word_bound: int) -> dict
         mixing[name] = {"has_root_of_unity_eigenvalue": rou, "witness_order": k}
     cond_f = check_condition_F(action, word_bound)
     if action.monoid_kind == FREE_ABELIAN:
-        sf = check_SF_via_det(action).to_dict()
+        sf = check_SF_via_det(action)
     else:
-        sf = {"status": "not-applicable", "witness_exponents": None, "detail": "free monoid"}
+        sf = SFReport("not-applicable", None, "free monoid")
     exact = exactness(family)
     return {
         "schema": 1,
@@ -219,7 +211,7 @@ def analyze_action(action: AlgebraicAction, depth: int, word_bound: int) -> dict
         "rank": action.n,
         "monoid": action.monoid_kind,
         "generators": list(action.names),
-        "standing": standing.to_dict(),
+        "standing": _to_json(standing),
         "family": {
             "depth": depth,
             "size": len(family.lattices),
@@ -228,9 +220,9 @@ def analyze_action(action: AlgebraicAction, depth: int, word_bound: int) -> dict
             "index_set": sorted({lat.index() for lat in family.lattices}),
         },
         "mixing": mixing,
-        "condition_f": cond_f.to_dict(),
-        "sf": sf,
-        "exactness": exact.to_dict(),
+        "condition_f": _to_json(cond_f),
+        "sf": _to_json(sf),
+        "exactness": _to_json(exact),
     }
 
 
@@ -298,7 +290,7 @@ def cmd_compare(args) -> int:
         verdict = _compare_poly(args)
     else:
         raise SchemaError("/mode", f"unknown mode {args.mode!r}")
-    report = {"schema": 1, "kind": "compare", "mode": args.mode, **verdict.to_dict()}
+    report = {"schema": 1, "kind": "compare", "mode": args.mode, **_to_json(verdict)}
     _emit(report, args.json, _render_compare)
     return 0
 
@@ -472,7 +464,6 @@ def cmd_groupoid(args) -> int:
             "/level",
             f"lattice with index {level.index()} is not constructible at depth {args.depth}",
         )
-    arrows = []
     maps_report = {}
     for i, name in enumerate(action.names):
         lm = level_map(action, Word.generator(i), level)
@@ -484,17 +475,13 @@ def cmd_groupoid(args) -> int:
             "image_index": lm.image_index,
             "entries": entries,
         }
-        arrows.extend(
-            {"word": name, "source": list(src), "target": list(dst)}
-            for src, dst in sorted(lm.table.items())
-        )
     orbit = translation_orbit(level, (0,) * action.n)
     orbit_covers = len(orbit) == level.index()
     identities = {}
     failures = []
     for i, name in enumerate(action.names):
         rep = verify_word_identity(action, Word.generator(i))
-        identities[name] = rep.to_dict()
+        identities[name] = _to_json(rep)
         if not rep.all_hold:
             failures.append(name)
     report = {
@@ -509,6 +496,9 @@ def cmd_groupoid(args) -> int:
         "word_identities": identities,
     }
     if args.trace:
+        arrows = [
+            {"word": name, **entry} for name, lm in maps_report.items() for entry in lm["entries"]
+        ]
         trace = {"schema": 1, "kind": "groupoid-trace", "level": report["level"], "arrows": arrows}
         if args.trace == "-":
             print(json.dumps(trace, indent=2))
@@ -551,14 +541,15 @@ def _render_groupoid(report: dict) -> list[str]:
 
 def cmd_polyideal(args) -> int:
     names, gens, order = load_ideal(_read_document(args.ideal))
-    conditions = commalg_conditions(gens, names, order)
+    conditions = _to_json(commalg_conditions(gens, names, order))
+    basis = conditions.pop("groebner_basis")
     report = {
         "schema": 1,
         "kind": "polyideal",
         "vars": names,
         "order": order,
-        "groebner_basis": [g.format(names) for g in conditions.groebner_basis],
-        "conditions": conditions.to_dict(),
+        "groebner_basis": [g.format(names) for g in basis],
+        "conditions": conditions,
     }
     _emit(report, args.json, _render_polyideal)
     return 0
@@ -598,7 +589,7 @@ def cmd_ring(args) -> int:
         "schema": 1,
         "kind": "ring",
         "rank": ring.n,
-        "validation": validate(ring).to_dict(),
+        "validation": _to_json(validate(ring)),
     }
     elements = _expect(doc, "elements", list, "") if "elements" in doc else []
     if elements:
@@ -651,6 +642,22 @@ def _render_ring(report: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
+
+
+def _to_json(value):
+    """JSON data of a report dataclass: its fields in declaration order, with
+    a Matrix as its list of rows, tuples as lists, and dicts and lists
+    converted element by element.  Apply it to reports, not to whole report
+    dicts: walking the plain level-map tables would only cost time."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Matrix):
+        return [list(row) for row in value.entries()]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def _emit(report: dict, as_json: bool, renderer) -> None:

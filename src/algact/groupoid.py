@@ -176,19 +176,6 @@ class WordIdentityReport:
             and self.epsilon_identity_holds
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "degree": self.degree,
-            "kappas": list(self.kappas),
-            "epsilon": self.epsilon,
-            "module_identity_holds": self.module_identity_holds,
-            "semidirect_identity_holds": self.semidirect_identity_holds,
-            "epsilon_identity_holds": self.epsilon_identity_holds,
-            "samples_checked": self.samples_checked,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 def clear_denominators(chi) -> tuple[int, ...]:
     """kappa coefficients of the integer-cleared characteristic polynomial.

@@ -232,16 +232,6 @@ class RankBoundReport:
     bound: int
     holds: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "trivial": self.trivial,
-            "group_rank": self.group_rank,
-            "nilpotent_span_dim": self.nilpotent_span_dim,
-            "common_kernel_dim": self.common_kernel_dim,
-            "bound": self.bound,
-            "holds": self.holds,
-        }
-
 
 def rank_bound_check(family: UnipotentFamily) -> RankBoundReport:
     """Verify rk_Z <= dim span of nilpotents < n (n - k) for a nontrivial
@@ -267,14 +257,6 @@ class PowerWitnessReport:
     m: int
     eta: Matrix
     nilpotency_index: int
-
-    def to_dict(self) -> dict:
-        return {
-            "relation_orientation": self.relation_orientation,
-            "m": self.m,
-            "eta": [list(row) for row in self.eta.entries()],
-            "nilpotency_index": self.nilpotency_index,
-        }
 
 
 def unipotent_power_witness(
@@ -323,16 +305,6 @@ class SplittingVerdict:
     @property
     def distinguished(self) -> bool:
         return self.status == "distinguished"
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "reason": self.reason,
-            "prime": self.prime,
-            "signatures": [list(s) for s in self.signatures] if self.signatures else None,
-            "prime_bound": self.prime_bound,
-            "irreducibility_notes": list(self.irreducibility_notes),
-        }
 
 
 def irreducibility_screen(f: Poly) -> tuple[bool, str]:

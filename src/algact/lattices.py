@@ -25,7 +25,10 @@ class Lattice:
         h, _ = hnf(basis)
         if any(h[i, i] == 0 for i in range(h.rows)):
             raise ValueError("lattice basis is rank-deficient")
-        object.__setattr__(self, "n", basis.rows)
+        self._set_hermite_basis(h)
+
+    def _set_hermite_basis(self, h: Matrix) -> None:
+        object.__setattr__(self, "n", h.rows)
         object.__setattr__(self, "basis", h)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_det", None)
@@ -56,7 +59,10 @@ class Lattice:
         rows = [h.row(i) for i in range(h.rows) if any(h.row(i))]
         if len(rows) < n:
             raise ValueError("rank-deficient generating set")
-        return cls(Matrix(rows))
+        # n nonzero Hermite rows in n columns are already the canonical basis.
+        lat = cls.__new__(cls)
+        lat._set_hermite_basis(Matrix(rows))
+        return lat
 
     # -- basic queries ---------------------------------------------------------
 

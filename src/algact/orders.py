@@ -78,13 +78,6 @@ class RingValidation:
     def valid(self) -> bool:
         return self.associative and self.unit_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "associative": self.associative,
-            "unit_ok": self.unit_ok,
-            "failures": list(self.failures),
-        }
-
 
 def validate(ring: StructureRing) -> RingValidation:
     """Associativity on all basis triples plus the two-sided unit laws."""

@@ -236,3 +236,16 @@ def cyclotomic_indices(max_phi: int, k_bound: int | None = None) -> list[int]:
     if k_bound is None:
         k_bound = max(1, 2 * max_phi * max_phi)
     return [k for k in range(1, k_bound + 1) if euler_phi(k) <= max_phi]
+
+
+def cyclotomic_divisor(f: Poly) -> int | None:
+    """The smallest k with Phi_k | f, or None.
+
+    Complete: Phi_k has degree phi(k), so only k with phi(k) <= deg f can
+    divide f.  Since Phi_k is irreducible over Q, Phi_k | f exactly when f
+    has a primitive k-th root of unity as a root.
+    """
+    return next(
+        (k for k in cyclotomic_indices(max(f.degree, 1)) if cyclotomic(k).divides(f)),
+        None,
+    )

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .arith import prime_factors
 from .matrices import Matrix, charpoly, kernel_q
-from .polynomials import Poly, cyclotomic, cyclotomic_indices, format_poly, _scalar
+from .polynomials import Poly, cyclotomic_divisor, format_poly, _scalar
 
 DEGREVLEX = "degrevlex"
 LEX = "lex"
@@ -503,25 +503,7 @@ class IdealConditionsReport:
     d_note: str | None
     dimension: int | None
     char_polys: dict[str, str] | None
-    groebner_basis: list[MPoly]  # the reduced basis the checks ran on; not serialized
-
-    def to_dict(self) -> dict:
-        return {
-            "zero_dimensional": self.zero_dimensional,
-            "variables_nonzero": self.variables_nonzero,
-            "a_holds": self.a_holds,
-            "variables_injective": self.variables_injective,
-            "b_holds": self.b_holds,
-            "c_witness": self.c_witness,
-            "c_search_bound": self.c_search_bound,
-            "c_holds": self.c_holds,
-            "norms": self.norms,
-            "d_witness_primes": self.d_witness_primes,
-            "d_holds": self.d_holds,
-            "d_note": self.d_note,
-            "dimension": self.dimension,
-            "char_polys": self.char_polys,
-        }
+    groebner_basis: list[MPoly]  # the reduced basis the checks ran on; kept out of "conditions"
 
 
 def commalg_conditions(
@@ -645,20 +627,6 @@ class PrincipalReport:
     def exact(self) -> bool:
         return self.verdict == "exact"
 
-    def to_dict(self) -> dict:
-        return {
-            "poly": self.poly,
-            "non_constant": self.non_constant,
-            "monic": self.monic,
-            "constant_term": self.constant_term,
-            "non_automorphic": self.non_automorphic,
-            "mixing_f1_nonzero": self.mixing_f1_nonzero,
-            "cyclotomic_divisor": self.cyclotomic_divisor,
-            "verdict": self.verdict,
-            "basis": self.basis,
-            "caveat": self.caveat,
-        }
-
 
 _PRINCIPAL_CAVEAT = (
     "an 'exact' verdict additionally assumes no degree>=2 factor with constant "
@@ -679,10 +647,7 @@ def principal_exactness(f: Poly) -> PrincipalReport:
         raise ValueError("monic integer polynomial required")
     non_constant = f.degree >= 1
     c0 = int(f[0]) if non_constant else 0
-    cyc = next(
-        (k for k in cyclotomic_indices(max(f.degree, 1)) if cyclotomic(k).divides(f)),
-        None,
-    )
+    cyc = cyclotomic_divisor(f)
     if not non_constant:
         raise ValueError("non-constant polynomial required")
     if abs(c0) <= 1:

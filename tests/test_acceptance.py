@@ -217,7 +217,7 @@ def test_criterion_7_rank_bound():
         rep = rank_bound_check(UnipotentFamily(members))
         if not rep.trivial:
             nontrivial += 1
-            assert rep.holds, rep.to_dict()
+            assert rep.holds, cli._to_json(rep)
     elapsed = time.monotonic() - start
     _report(7, elapsed, 10.0, f"rank < n(n-k) on {nontrivial} nontrivial commuting unipotent families")
 

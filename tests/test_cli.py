@@ -1,10 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from algact import actions, cli, polyring
+from algact.invariants import (
+    UnipotentFamily,
+    rank_bound_check,
+    splitting_signature_distinguisher,
+    unipotent_power_witness,
+)
+from algact.matrices import Matrix
+from algact.polynomials import Poly
 
 
 def write(tmp_path, name, doc):
@@ -408,6 +419,39 @@ def test_analyze_and_ring_build_one_family_each(tmp_path, capsys, monkeypatch):
     assert code == 0 and calls == [4, 3]
 
 
+# -- report serialization -------------------------------------------------------------
+
+
+SHEAR = Matrix([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "report,expected",
+    [
+        (rank_bound_check(UnipotentFamily([SHEAR])), {"group_rank": 1, "bound": 2}),
+        (
+            unipotent_power_witness(SHEAR, 2, Matrix.diagonal([2, 1]), 2),
+            {"m": 3, "eta": [[0, 3], [0, 0]], "nilpotency_index": 2},
+        ),
+        (
+            splitting_signature_distinguisher(Poly((1, 0, 1)), Poly((-2, 0, 1)), 100),
+            {"prime": 5, "signatures": [[1, 1], [2]], "irreducibility_notes": []},
+        ),
+        (
+            polyring.principal_exactness(Poly((-2, 1))),
+            {"poly": "z - 2", "cyclotomic_divisor": None, "verdict": "exact"},
+        ),
+    ],
+    ids=["RankBoundReport", "PowerWitnessReport", "SplittingVerdict", "PrincipalReport"],
+)
+def test_report_json_roundtrip(report, expected):
+    # The four report types no subcommand emits go through the same serializer.
+    data = cli._to_json(report)
+    assert list(data) == [f.name for f in fields(report)]
+    assert json.loads(json.dumps(data)) == data
+    assert {k: data[k] for k in expected} == expected
+
+
 # -- exit codes ------------------------------------------------------------------
 
 
@@ -452,22 +496,24 @@ def test_unsupported_schema_version(tmp_path, capsys):
     assert "/schema" in err
 
 
+def run_module(*args):
+    # The child process imports the same algact as this one, installed or not.
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "algact", *args], capture_output=True, text=True, env=env
+    )
+
+
 def test_module_entry_point(tmp_path):
     path = write(tmp_path, "a.json", TIMES2)
-    proc = subprocess.run(
-        [sys.executable, "-m", "algact", "analyze", path],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("analyze", path)
     assert proc.returncode == 0
     assert "exactness: exact" in proc.stdout
 
 
 def test_module_entry_point_bad_input(tmp_path):
     path = tmp_path / "missing.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "algact", "analyze", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("analyze", str(path))
     assert proc.returncode == 2

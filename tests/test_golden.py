@@ -24,18 +24,6 @@ from algact.presets import EXAMPLE_ACTIONS
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _action_doc(action) -> dict:
-    return {
-        "schema": 1,
-        "rank": action.n,
-        "monoid": action.monoid_kind,
-        "generators": [
-            {"name": name, "matrix": [x for row in mat.entries() for x in row]}
-            for name, mat in action.gens
-        ],
-    }
-
-
 def _action(rank, matrices, names, monoid="free-abelian") -> dict:
     return {
         "schema": 1,
@@ -43,6 +31,10 @@ def _action(rank, matrices, names, monoid="free-abelian") -> dict:
         "monoid": monoid,
         "generators": [{"name": n, "matrix": m} for n, m in zip(names, matrices)],
     }
+
+
+def _action_doc(action) -> dict:
+    return _action(action.n, [m.flat() for m in action.matrices], action.names, action.monoid_kind)
 
 
 def _ideal(names, gens) -> dict:

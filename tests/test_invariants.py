@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from algact import cli
 from algact.invariants import (
     UnipotentFamily,
     conjugacy_class,
@@ -199,7 +200,7 @@ def test_rank_bound_random_families(rng):
         fam = commuting_unipotent_family(rng, n)
         rep = rank_bound_check(fam)
         if not rep.trivial:
-            assert rep.holds, rep.to_dict()
+            assert rep.holds, cli._to_json(rep)
             assert rep.group_rank <= rep.nilpotent_span_dim < rep.bound
 
 

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from algact import lattices
 from algact.lattices import (
     Lattice,
     image,
@@ -11,7 +13,7 @@ from algact.lattices import (
     preimage,
     quotient,
 )
-from algact.matrices import Matrix
+from algact.matrices import Matrix, hnf
 
 from conftest import random_nonsingular
 
@@ -44,6 +46,38 @@ def test_from_generators_known_cases():
     assert Lattice.from_generators(1, [(6,), (10,)]).basis == Matrix([[2]])
     with pytest.raises(ValueError):
         Lattice.from_generators(2, [(1, 0)])
+
+
+def test_constructors_reject_bad_input():
+    bad_bases = [Matrix([[1, 2]]), Matrix([[Fraction(1, 2)]]), Matrix([[1, 1], [1, 1]])]
+    for basis in bad_bases:
+        with pytest.raises(ValueError):
+            Lattice(basis)
+    bad_generators = [[], [(1, 2, 3)], [(1, 0), (2, 0)], [(Fraction(1, 2), 0), (0, 1)]]
+    for vectors in bad_generators:
+        with pytest.raises(ValueError):
+            Lattice.from_generators(2, vectors)
+
+
+def test_from_generators_runs_hnf_once(rng, monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return hnf(m)
+
+    monkeypatch.setattr(lattices, "hnf", counting)
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(n, n + 3))]
+        calls.clear()
+        try:
+            lat = Lattice.from_generators(n, vectors)
+        except ValueError:
+            continue
+        assert len(calls) == 1
+        # the basis kept without a second hnf is already canonical
+        assert hnf(lat.basis)[0] == lat.basis == Lattice(lat.basis).basis
 
 
 def test_index_known_cases():

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from algact.polynomials import Poly, cyclotomic, cyclotomic_indices, format_poly
+from algact.matrices import charpoly
+from algact.polynomials import Poly, cyclotomic, cyclotomic_divisor, cyclotomic_indices, format_poly
 from algact.arith import divisors, euler_phi
+from algact.presets import EXAMPLE_ACTIONS
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=7).map(Poly)
 
@@ -83,6 +85,27 @@ def test_cyclotomic_degree_is_phi():
 def test_cyclotomic_indices_complete():
     # phi(k) <= 2 exactly for k in {1, 2, 3, 4, 6}
     assert cyclotomic_indices(2) == [1, 2, 3, 4, 6]
+
+
+def gcd_scan_cyclotomic_divisor(f: Poly) -> int | None:
+    """Reference: the gcd scan that cyclotomic_divisor replaced."""
+    for k in cyclotomic_indices(max(f.degree, 1)):
+        if f.gcd(cyclotomic(k)).degree >= 1:
+            return k
+    return None
+
+
+def test_cyclotomic_divisor_matches_gcd_scan(rng):
+    polys = [charpoly(m) for make in EXAMPLE_ACTIONS.values() for m in make().matrices]
+    for _ in range(150):
+        f = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, 8))] + [rng.choice((-2, -1, 1, 3))])
+        for k in rng.sample(range(1, 31), rng.randint(0, 2)):
+            f = f * cyclotomic(k)
+        polys.append(f)
+    for f in polys:
+        assert cyclotomic_divisor(f) == gcd_scan_cyclotomic_divisor(f), f
+    assert cyclotomic_divisor(Poly((1, 0, 1)) * Poly((-2, 1))) == 4
+    assert cyclotomic_divisor(Poly((-2, 0, 1))) is None
 
 
 def test_format_poly():
