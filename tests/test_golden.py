@@ -60,6 +60,8 @@ CASES = {
         [_action(2, [[1, 1, 0, 1], [1, 0, 1, 1]], ["a", "b"], monoid="free")],
         [],
     ),
+    # sf fails with a right-kernel witness, read off the U of hnf
+    "analyze_sf_kernel_witness": ("analyze", [_action(2, [[2, 0, 0, 2], [0, 4, -4, 0]], ["s", "t"])], []),
     "ring_elements_generators": (
         "ring",
         [{"schema": 1, "preset": "Zi", "elements": [[1, 1], [2, 0], [0, 3]], "generators": [[1, 1]]}],
