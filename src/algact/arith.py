@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from math import isqrt
 
-# Deterministic Miller-Rabin witnesses, valid for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses decide primality for every
+# n below _MR_LIMIT (Sorenson and Webster 2015); without 41 the limit is 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -24,9 +26,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin: proved for n < _MR_LIMIT, probable above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -49,8 +52,10 @@ def is_prime(n: int) -> bool:
 def prime_factors(n: int, bound: int | None = None) -> tuple[dict[int, int], int]:
     """Trial-divide |n| and return (factor exponents, unfactored leftover).
 
-    The leftover is 1 on complete factorization.  With a bound, primes above
-    it are left in the leftover (which may itself be prime).
+    The leftover is 1 on complete factorization.  With a bound, trial
+    division stops there; a leftover is still counted when it is proved prime
+    (below bound**2, or below _MR_LIMIT by Miller-Rabin).  Otherwise it is
+    returned: a composite, or a probable prime above _MR_LIMIT.
     """
     n = abs(n)
     if n == 0:
@@ -69,11 +74,9 @@ def prime_factors(n: int, bound: int | None = None) -> tuple[dict[int, int], int
                 n //= q
                 limit = isqrt(n)
         d += 6
-    if n > 1 and (bound is None or n <= bound or is_prime(n)):
-        # A leftover below the bound squared is prime; count it.
-        if bound is None or n <= bound * bound:
-            factors[n] = factors.get(n, 0) + 1
-            n = 1
+    if n > 1 and (bound is None or n <= bound * bound or (n < _MR_LIMIT and is_prime(n))):
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
     return factors, n
 
 

@@ -13,6 +13,7 @@ algact, reported with its exception type).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
@@ -675,6 +676,9 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+# Built once: a parser is a web of reference cycles, and one per call piles up
+# as garbage in the oldest gc generation when main runs many times in a process.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algact",

@@ -15,7 +15,7 @@ from math import factorial, gcd
 from .arith import divisors, primes_up_to
 from .matrices import Matrix, charpoly, kernel_q, poly_invariant_factors, rank_q
 from .modp import RAMIFIED, ddf_signature
-from .polynomials import Poly, cyclotomic, cyclotomic_indices, format_poly
+from .polynomials import Poly, cyclotomic, cyclotomic_divisor, format_poly
 
 
 # ---------------------------------------------------------------------------
@@ -55,34 +55,23 @@ def q_conjugate(a: Matrix, b: Matrix) -> bool:
 def torsion_order(m: Matrix) -> int | None:
     """Multiplicative order of an invertible matrix, or None if infinite.
 
-    Finite order forces the characteristic polynomial to split into
-    cyclotomics and the matrix to be diagonalizable (squarefree minimal
-    polynomial); when both hold the candidate order is verified by powering.
+    Finite order forces the characteristic polynomial to be a product of
+    cyclotomics Phi_k; then M^L = I for L the lcm of those k exactly when the
+    minimal polynomial is squarefree, which the powering decides.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
     if m.det() == 0:
         raise ValueError("torsion order of a singular matrix")
-    chi = charpoly(m)
-    rest = chi
-    orders = []
-    for k in cyclotomic_indices(m.rows):
-        phi_k = cyclotomic(k)
-        while rest.degree >= 1 and phi_k.divides(rest):
-            rest = rest // phi_k
-            orders.append(k)
-    if rest.degree >= 1:
-        return None
-    factors = poly_invariant_factors(m)
-    minimal = factors[-1]
-    if not minimal.is_squarefree():
-        return None
+    rest = charpoly(m)
     order = 1
-    for k in orders:
+    while rest.degree >= 1:
+        k = cyclotomic_divisor(rest)
+        if k is None:
+            return None
+        rest = rest // cyclotomic(k)
         order = order * k // gcd(order, k)
-    if m**order != Matrix.identity(m.rows):
-        raise ArithmeticError("cyclotomic order bookkeeping failed")
-    return order
+    return order if m**order == Matrix.identity(m.rows) else None
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +312,9 @@ def irreducibility_screen(f: Poly) -> tuple[bool, str]:
         for root in (d, -d):
             if f(root) == 0:
                 return False, f"rational root {root}"
-    for k in cyclotomic_indices(f.degree):
-        phi = cyclotomic(k)
-        if phi.degree < f.degree and phi.divides(f):
-            return False, f"cyclotomic factor of order {k}"
+    k = cyclotomic_divisor(f)
+    if k is not None and cyclotomic(k) != f:
+        return False, f"cyclotomic factor of order {k}"
     if f.degree <= 3:
         return True, "degree <= 3 with no rational root"
     return True, "screened only (degree > 3): irreducibility is caller-asserted"

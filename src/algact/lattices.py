@@ -12,26 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
-from .matrices import Matrix, hnf, left_kernel_int, snf
+from .matrices import Matrix, hermite_rows, snf
+from .polynomials import _scalar
 
 
 class Lattice:
-    __slots__ = ("n", "basis", "_adj", "_det")
+    __slots__ = ("n", "basis")
 
     def __init__(self, basis: Matrix):
         if not basis.is_square or not basis.is_integral():
             raise ValueError("lattice basis must be a square integer matrix")
-        h, _ = hnf(basis)
-        if any(h[i, i] == 0 for i in range(h.rows)):
+        h = hermite_rows([list(row) for row in basis.entries()], basis.cols)
+        if any(h[i][i] == 0 for i in range(len(h))):
             raise ValueError("lattice basis is rank-deficient")
-        self._set_hermite_basis(h)
+        self._set_hermite_basis(Matrix(h))
 
     def _set_hermite_basis(self, h: Matrix) -> None:
         object.__setattr__(self, "n", h.rows)
         object.__setattr__(self, "basis", h)
-        object.__setattr__(self, "_adj", None)
-        object.__setattr__(self, "_det", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Lattice is immutable")
@@ -55,11 +55,17 @@ class Lattice:
             raise ValueError("no generators supplied")
         if any(len(v) != n for v in vectors):
             raise ValueError("generator length does not match the ambient rank")
-        h, _ = hnf(Matrix(vectors))
-        rows = [h.row(i) for i in range(h.rows) if any(h.row(i))]
-        if len(rows) < n:
+        rows = [[_scalar(x) for x in v] for v in vectors]
+        if not all(isinstance(x, int) for row in rows for x in row):
+            raise ValueError("Hermite form needs integer entries")
+        h = hermite_rows(rows, n)
+        if len(h) < n or h[n - 1][n - 1] == 0:
             raise ValueError("rank-deficient generating set")
         # n nonzero Hermite rows in n columns are already the canonical basis.
+        return cls._from_hermite(h[:n])
+
+    @classmethod
+    def _from_hermite(cls, rows) -> "Lattice":
         lat = cls.__new__(cls)
         lat._set_hermite_basis(Matrix(rows))
         return lat
@@ -67,37 +73,27 @@ class Lattice:
     # -- basic queries ---------------------------------------------------------
 
     def index(self) -> int:
-        """#(Z^n / L) = |det basis|."""
-        return abs(self._cached_det())
+        """#(Z^n / L), the product of the Hermite pivots."""
+        return prod(self.basis[i, i] for i in range(self.n))
 
     def member(self, x) -> bool:
         """Is the integer vector x in the lattice?"""
-        x = tuple(x)
+        x = list(x)
         if len(x) != self.n:
             raise ValueError("vector length mismatch")
-        adj, det = self._adj_det()
-        # x = c * B  <=>  c = x * B^{-1} = x * adj(B) / det integral.
-        for j in range(self.n):
-            s = sum(x[i] * adj[i][j] for i in range(self.n))
-            if s % det:
+        # Clear x column by column with the triangular basis rows.
+        for j, row in enumerate(self.basis.entries()):
+            q, rem = divmod(x[j], row[j])
+            if rem:
                 return False
+            if q:
+                x = [a - q * b for a, b in zip(x, row)]
         return True
 
     def contains_lattice(self, other: "Lattice") -> bool:
         if other.n != self.n:
             raise ValueError("ambient ranks differ")
         return all(self.member(other.basis.row(i)) for i in range(self.n))
-
-    def _cached_det(self) -> int:
-        if self._det is None:
-            object.__setattr__(self, "_det", self.basis.det())
-        return self._det
-
-    def _adj_det(self):
-        if self._adj is None:
-            adj = self.basis.adjugate()
-            object.__setattr__(self, "_adj", tuple(adj.entries()))
-        return self._adj, self._cached_det()
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -112,14 +108,14 @@ class Lattice:
 
 
 def intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """Lattice-theoretic meet L1 ∩ L2."""
+    """Lattice-theoretic meet L1 ∩ L2.
+
+    The rows (b1, b1) and (b2, 0) span {(x + y, x) : x in L1, y in L2}, whose
+    vectors with first half zero are exactly (0, L1 ∩ L2).
+    """
     _same_rank(l1, l2)
-    stacked = l1.basis.stack(-l2.basis)
-    rows = []
-    for vec in left_kernel_int(stacked):
-        u = vec[: l1.n]
-        rows.append(l1.basis.apply_row(u))
-    return Lattice.from_generators(l1.n, rows)
+    b1, b2 = l1.basis.entries(), l2.basis.entries()
+    return _lower_block([row + row for row in b1] + [row + (0,) * l2.n for row in b2])
 
 
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
@@ -137,18 +133,26 @@ def image(m: Matrix, lat: Lattice) -> Lattice:
 
 
 def preimage(m: Matrix, lat: Lattice) -> Lattice:
-    """{x in Z^n : M x in L}, computed exactly through the adjugate.
+    """{x in Z^n : M x in L}.
 
-    M^{-1} L is the rational lattice spanned by B * adj(M)^T / det(M); its
-    integer points are (rowspan(B * adj(M)^T) ∩ det(M) Z^n) / det(M).
+    The rows (M e_i, e_i) and (b, 0) span {(M x + y, x) : x in Z^n, y in L},
+    whose vectors with first half zero are exactly (0, M^{-1} L ∩ Z^n).
     """
     _check_map(m, lat)
-    det = m.det()
-    adj_t = m.adjugate().transpose()
-    scaled = lat.basis * adj_t
-    inner = intersect(Lattice.from_generators(lat.n, scaled.entries()), Lattice.scaled(lat.n, abs(det)))
-    rows = [[x // det for x in inner.basis.row(i)] for i in range(lat.n)]
-    return Lattice.from_generators(lat.n, rows)
+    n = lat.n
+    rows = [m.col(i) + tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return _lower_block(rows + [row + (0,) * n for row in lat.basis.entries()])
+
+
+def _lower_block(rows) -> Lattice:
+    """The lattice on the lower-right n x n block of the Hermite form of the
+    2n x 2n block matrix `rows`: the vectors of their span with first half
+    zero.  A block of a Hermite form is in Hermite form, so it is canonical."""
+    n = len(rows) // 2
+    h = hermite_rows([list(row) for row in rows], 2 * n)
+    if any(h[n + i][n + i] == 0 for i in range(n)):
+        raise ValueError("rank-deficient lattice block")
+    return Lattice._from_hermite([row[n:] for row in h[n:]])
 
 
 def _same_rank(l1: Lattice, l2: Lattice):

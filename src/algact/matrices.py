@@ -9,7 +9,6 @@ lattices can be deduplicated by their canonical basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .arith import xgcd
 from .polynomials import Poly, _scalar
@@ -195,21 +194,6 @@ class Matrix:
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
         return Matrix([row[n:] for row in a])
 
-    def adjugate(self) -> "Matrix":
-        """det(M) * M^{-1}, exact and integral for integral input."""
-        d = self.det()
-        if d == 0:
-            raise ValueError("adjugate via inverse needs a nonsingular matrix")
-        return self.inverse() * d
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for row in self._e:
-            for x in row:
-                if isinstance(x, Fraction):
-                    out = out * x.denominator // gcd(out, x.denominator)
-        return out
-
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column counts differ")
@@ -284,42 +268,45 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     Returns (H, U) with U unimodular, U*M = H, H in the canonical row form:
     pivot entries positive, each pivot strictly right of the one above,
     entries above a pivot reduced into [0, pivot), zero rows at the bottom.
+    U is the identity carried along to the right of M.
     """
     if not m.is_integral():
         raise ValueError("Hermite form needs integer entries")
-    h = [list(row) for row in m.entries()]
-    nrows, ncols = m.rows, m.cols
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    n, width = m.rows, m.cols
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries())]
+    hermite_rows(rows, width)
+    return Matrix([row[:width] for row in rows]), Matrix([row[width:] for row in rows])
+
+
+def hermite_rows(rows: list[list[int]], width: int) -> list[list[int]]:
+    """Bring integer rows, in place, into row Hermite form on their first
+    `width` columns (the form `hnf` describes); the columns after them follow
+    every row operation.  Returns `rows`."""
+    nrows = len(rows)
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if h[i][c]), None)
+    for c in range(width):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
-        h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(r + 1, nrows):
-            while h[i][c]:
-                a, b = h[r][c], h[i][c]
+            while rows[i][c]:
+                a, b = rows[r][c], rows[i][c]
                 g, s, t = xgcd(a, b)
                 # [[s, t], [-b//g, a//g]] is unimodular and maps (a, b) to (g, 0).
-                ra, ri = h[r], h[i]
-                h[r] = [s * x + t * y for x, y in zip(ra, ri)]
-                h[i] = [(-b // g) * x + (a // g) * y for x, y in zip(ra, ri)]
-                ua, ui = u[r], u[i]
-                u[r] = [s * x + t * y for x, y in zip(ua, ui)]
-                u[i] = [(-b // g) * x + (a // g) * y for x, y in zip(ua, ui)]
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+                ra, ri = rows[r], rows[i]
+                rows[r] = [s * x + t * y for x, y in zip(ra, ri)]
+                rows[i] = [(-b // g) * x + (a // g) * y for x, y in zip(ra, ri)]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
         for i in range(r):
-            q = h[i][c] // h[r][c]
+            q = rows[i][c] // rows[r][c]
             if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
         r += 1
         if r == nrows:
             break
-    return Matrix(h), Matrix(u)
+    return rows
 
 
 def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:

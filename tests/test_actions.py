@@ -218,6 +218,13 @@ def test_sf_known_cases():
     assert check_SF_via_det(scalar_action(6, 10, 15)).holds
 
 
+def test_sf_large_prime_determinant():
+    # 1000000000039 is a prime above the default trial-division bound squared
+    assert check_SF_via_det(scalar_action(2 * 1000000000039, 3)).holds
+    rep = check_SF_via_det(scalar_action(1000003 * 1000033, 3))
+    assert rep.status == "inconclusive"
+
+
 def test_sf_sign_handling():
     rep = check_SF_via_det(scalar_action(2, -2))
     assert rep.status == "fails"

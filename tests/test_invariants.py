@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,8 +17,9 @@ from algact.invariants import (
     unipotent_log,
     unipotent_power_witness,
 )
-from algact.matrices import Matrix
-from algact.polynomials import Poly
+from algact.arith import divisors
+from algact.matrices import Matrix, charpoly, poly_invariant_factors
+from algact.polynomials import Poly, cyclotomic, cyclotomic_indices
 
 from conftest import random_int_matrix, random_unimodular
 
@@ -76,8 +78,6 @@ def test_torsion_known_cases():
 
 
 def test_torsion_verified_by_powering():
-    from algact.arith import divisors
-
     cases = [
         Matrix([[0, -1], [1, 0]]),
         Matrix([[0, -1], [1, -1]]),
@@ -92,6 +92,58 @@ def test_torsion_verified_by_powering():
         for d in divisors(order):
             if d < order:
                 assert m**d != Matrix.identity(m.rows)
+
+
+def reference_torsion_order(m: Matrix) -> int | None:
+    """Reference: strip cyclotomics by a full index scan, then test the
+    minimal polynomial (the last invariant factor) for squarefreeness."""
+    rest = charpoly(m)
+    orders = []
+    for k in cyclotomic_indices(m.rows):
+        while rest.degree >= 1 and cyclotomic(k).divides(rest):
+            rest = rest // cyclotomic(k)
+            orders.append(k)
+    if rest.degree >= 1 or not poly_invariant_factors(m)[-1].is_squarefree():
+        return None
+    order = 1
+    for k in orders:
+        order = order * k // gcd(order, k)
+    return order
+
+
+def block_diagonal(blocks) -> Matrix:
+    n = sum(b.rows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for row in b.entries():
+            rows.append([0] * at + list(row) + [0] * (n - at - b.rows))
+        at += b.rows
+    return Matrix(rows)
+
+
+def test_torsion_order_matches_reference(rng):
+    small = [k for k in cyclotomic_indices(4)]
+    pieces = [Matrix.companion(cyclotomic(k)) for k in small]
+    pieces += [Matrix.companion(Poly((-2, 0, 1))), Matrix.companion(Poly((-1, -1, 1))), Matrix([[2]])]
+    # a non-diagonalizable block with the characteristic polynomial Phi_k^2
+    for k in (1, 2, 3, 4):
+        c = Matrix.companion(cyclotomic(k))
+        d = c.rows
+        pieces.append(Matrix([list(c.row(i)) + [int(i == j) for j in range(d)] for i in range(d)]
+                             + [[0] * d + list(c.row(i)) for i in range(d)]))
+    finite = 0
+    for _ in range(150):
+        while True:
+            blocks = rng.sample(pieces, rng.randint(1, 3))
+            if sum(b.rows for b in blocks) <= 6:
+                break
+        m = block_diagonal(blocks)
+        u = random_unimodular(rng, m.rows)
+        m = u * m * u.inverse()
+        expected = reference_torsion_order(m)
+        assert torsion_order(m) == expected, m
+        finite += expected is not None
+    assert 30 < finite < 120
 
 
 def test_torsion_infinite_cases():
@@ -284,3 +336,40 @@ def test_irreducibility_screen():
     assert not ok3 and "cyclotomic" in why3
     ok4, why4 = irreducibility_screen(Poly((2, 0, 0, 0, 1)))
     assert ok4 and why4.startswith("screened only")
+
+
+def reference_irreducibility_screen(f: Poly) -> tuple[bool, str]:
+    """Reference: the screen with its own scan over every cyclotomic index."""
+    if f.degree < 1 or not f.is_monic() or not f.is_integral():
+        return False, "not a monic non-constant integer polynomial"
+    if f.degree == 1:
+        return True, "linear"
+    c0 = abs(f[0])
+    if c0 == 0:
+        return False, "root at 0"
+    for d in divisors(c0):
+        for root in (d, -d):
+            if f(root) == 0:
+                return False, f"rational root {root}"
+    for k in cyclotomic_indices(f.degree):
+        phi = cyclotomic(k)
+        if phi.degree < f.degree and phi.divides(f):
+            return False, f"cyclotomic factor of order {k}"
+    if f.degree <= 3:
+        return True, "degree <= 3 with no rational root"
+    return True, "screened only (degree > 3): irreducibility is caller-asserted"
+
+
+def test_irreducibility_screen_matches_reference(rng):
+    polys = [cyclotomic(k) for k in range(1, 31)] + [cyclotomic(5) * cyclotomic(5)]
+    for _ in range(300):
+        f = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, 6))] + [1])
+        for k in rng.sample(range(1, 31), rng.randint(0, 2)):
+            f = f * cyclotomic(k)
+        polys.append(f)
+    reasons = set()
+    for f in polys:
+        got = irreducibility_screen(f)
+        assert got == reference_irreducibility_screen(f), f
+        reasons.add(got[1].split(" ")[0])
+    assert {"cyclotomic", "rational", "screened", "degree"} <= reasons

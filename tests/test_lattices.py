@@ -13,7 +13,7 @@ from algact.lattices import (
     preimage,
     quotient,
 )
-from algact.matrices import Matrix, hnf
+from algact.matrices import Matrix, hermite_rows, hnf
 
 from conftest import random_nonsingular
 
@@ -59,25 +59,34 @@ def test_constructors_reject_bad_input():
             Lattice.from_generators(2, vectors)
 
 
-def test_from_generators_runs_hnf_once(rng, monkeypatch):
+def test_each_lattice_operation_runs_one_elimination(rng, monkeypatch):
     calls = []
 
-    def counting(m):
-        calls.append(m)
-        return hnf(m)
+    def counting(rows, width):
+        calls.append(width)
+        return hermite_rows(rows, width)
 
-    monkeypatch.setattr(lattices, "hnf", counting)
+    def count(make):
+        calls.clear()
+        lat = make()
+        assert len(calls) == 1
+        # the kept block needs no further elimination: it is canonical
+        assert hnf(lat.basis)[0] == lat.basis == Lattice(lat.basis).basis
+        return lat
+
+    monkeypatch.setattr(lattices, "hermite_rows", counting)
     for _ in range(50):
         n = rng.randint(1, 3)
         vectors = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(n, n + 3))]
-        calls.clear()
         try:
-            lat = Lattice.from_generators(n, vectors)
+            l1 = count(lambda: Lattice.from_generators(n, vectors))
         except ValueError:
             continue
-        assert len(calls) == 1
-        # the basis kept without a second hnf is already canonical
-        assert hnf(lat.basis)[0] == lat.basis == Lattice(lat.basis).basis
+        l2 = count(lambda: Lattice(random_nonsingular(rng, n, 6)))
+        m = random_nonsingular(rng, n, 4)
+        count(lambda: image(m, l1))
+        count(lambda: intersect(l1, l2))
+        count(lambda: preimage(m, l2))
 
 
 def test_index_known_cases():

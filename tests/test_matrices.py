@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algact.arith import xgcd
 from algact.matrices import (
     Matrix,
     charpoly,
@@ -122,6 +123,50 @@ def test_hnf_properties_random(rng):
         # canonical: re-running on H is a fixed point
         h2, _ = hnf(h)
         assert h2 == h
+
+
+def reference_hnf(m: Matrix) -> tuple[Matrix, Matrix]:
+    """Reference: hnf as it was before the elimination moved into
+    hermite_rows, updating U with separate row operations."""
+    h = [list(row) for row in m.entries()]
+    nrows, ncols = m.rows, m.cols
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if h[i][c]), None)
+        if piv is None:
+            continue
+        h[r], h[piv] = h[piv], h[r]
+        u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, nrows):
+            while h[i][c]:
+                a, b = h[r][c], h[i][c]
+                g, s, t = xgcd(a, b)
+                ra, ri, ua, ui = h[r], h[i], u[r], u[i]
+                h[r] = [s * x + t * y for x, y in zip(ra, ri)]
+                h[i] = [(-b // g) * x + (a // g) * y for x, y in zip(ra, ri)]
+                u[r] = [s * x + t * y for x, y in zip(ua, ui)]
+                u[i] = [(-b // g) * x + (a // g) * y for x, y in zip(ua, ui)]
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+        if r == nrows:
+            break
+    return Matrix(h), Matrix(u)
+
+
+def test_hnf_matches_reference(rng):
+    # U is not unique, and check_SF_via_det reports a kernel row of it
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = Matrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        assert hnf(m) == reference_hnf(m), m
 
 
 @given(int_matrix(3))
