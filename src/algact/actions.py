@@ -18,7 +18,7 @@ from functools import reduce
 from .arith import prime_factors
 from .lattices import Lattice, image, intersect, preimage
 from .matrices import Matrix, charpoly, is_companion, right_kernel_int
-from .polynomials import cyclotomic_divisor, format_poly
+from .polynomials import Poly, cyclotomic_divisor, format_poly
 
 FREE = "free"
 FREE_ABELIAN = "free-abelian"
@@ -326,15 +326,16 @@ def index_primes(action: AlgebraicAction, depth: int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def has_root_of_unity_eigenvalue(m: Matrix) -> tuple[bool, int | None]:
+def has_root_of_unity_eigenvalue(m: Matrix, chi: Poly | None = None) -> tuple[bool, int | None]:
     """Does M have an eigenvalue that is a root of unity?  Returns (flag, k).
 
     Complete: an order-k root of unity has degree phi(k) <= n, and the scan
-    covers every k with phi(k) <= n.
+    covers every k with phi(k) <= n.  chi is the characteristic polynomial
+    of M, when the caller has it.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
-    k = cyclotomic_divisor(charpoly(m))
+    k = cyclotomic_divisor(charpoly(m) if chi is None else chi)
     return k is not None, k
 
 
@@ -347,13 +348,16 @@ class ConditionFReport:
     single_generator_equivalence: dict | None
 
 
-def check_condition_F(action: AlgebraicAction, word_bound: int = 6) -> ConditionFReport:
+def check_condition_F(
+    action: AlgebraicAction, word_bound: int = 6, chi: Poly | None = None
+) -> ConditionFReport:
     """Check that id - w acts injectively for every nontrivial group word w
     up to the length bound, i.e. det(I - M_w) != 0 over Q.
 
     For a single generator the bounded check is upgraded to the exact
     statement: injectivity at every power is equivalent to the generator
-    having no root-of-unity eigenvalue.
+    having no root-of-unity eigenvalue.  chi is the characteristic
+    polynomial of that generator, when the caller has it.
     """
     ident = Matrix.identity(action.n)
     failing = None
@@ -366,7 +370,7 @@ def check_condition_F(action: AlgebraicAction, word_bound: int = 6) -> Condition
             break
     equivalence = None
     if len(action.gens) == 1:
-        rou, k = has_root_of_unity_eigenvalue(action.matrices[0])
+        rou, k = has_root_of_unity_eigenvalue(action.matrices[0], chi)
         equivalence = {
             "no_root_of_unity_eigenvalue": not rou,
             "holds_at_every_power": not rou,
@@ -493,7 +497,7 @@ _UNIT_FACTOR_CAVEAT = (
 )
 
 
-def exactness(family: ConstructibleFamily) -> ExactnessReport:
+def exactness(family: ConstructibleFamily, chi: Poly | None = None) -> ExactnessReport:
     """Two-part exactness verdict for the action of a constructible family.
 
     Empirical part: track the index of the total intersection of the depth-k
@@ -505,7 +509,9 @@ def exactness(family: ConstructibleFamily) -> ExactnessReport:
     characteristic polynomial, or a unit determinant, certifies a sublattice
     on which the generator restricts to an automorphism, hence not exact.
     Otherwise the action is reported exact under the companion-case theorem
-    (labeled heuristic for non-companion matrices).
+    (labeled heuristic for non-companion matrices).  chi is the
+    characteristic polynomial of the single generator, when the caller has
+    it.
     """
     action = family.action
     total = Lattice.standard(action.n)
@@ -531,7 +537,8 @@ def exactness(family: ConstructibleFamily) -> ExactnessReport:
         )
     if len(action.gens) == 1:
         mat = action.matrices[0]
-        chi = charpoly(mat)
+        if chi is None:
+            chi = charpoly(mat)
         cyc = cyclotomic_divisor(chi)
         label = "companion-case theorem" if is_companion(mat) else "heuristic for general matrices"
         criterion = {

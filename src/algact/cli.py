@@ -33,9 +33,9 @@ from .actions import (
 )
 from .errors import InternalCheckError, SchemaError
 from .groupoid import level_map, translation_orbit, verify_word_identity
-from .invariants import conjugacy_class, splitting_signature_distinguisher
+from .invariants import ConjugacyClass, conjugacy_class, splitting_signature_distinguisher
 from .lattices import Lattice
-from .matrices import Matrix
+from .matrices import Matrix, charpoly
 from .orders import (
     StructureRing,
     action_from_ring,
@@ -196,16 +196,18 @@ def load_compare_poly(doc: dict, pointer: str = ""):
 def analyze_action(action: AlgebraicAction, depth: int, word_bound: int) -> dict:
     standing = check_standing(action, word_bound)
     family = constructible_family(action, depth)
+    chis = [charpoly(mat) for mat in action.matrices]
     mixing = {}
-    for name, mat in action.gens:
-        rou, k = has_root_of_unity_eigenvalue(mat)
+    for (name, mat), chi in zip(action.gens, chis):
+        rou, k = has_root_of_unity_eigenvalue(mat, chi)
         mixing[name] = {"has_root_of_unity_eigenvalue": rou, "witness_order": k}
-    cond_f = check_condition_F(action, word_bound)
+    single = chis[0] if len(chis) == 1 else None
+    cond_f = check_condition_F(action, word_bound, single)
     if action.monoid_kind == FREE_ABELIAN:
         sf = check_SF_via_det(action)
     else:
         sf = SFReport("not-applicable", None, "free monoid")
-    exact = exactness(family)
+    exact = exactness(family, single)
     return {
         "schema": 1,
         "kind": "analyze",
@@ -308,12 +310,14 @@ def _render_compare(report: dict) -> list[str]:
     return lines
 
 
-def _toral_hypotheses(action: AlgebraicAction) -> dict:
-    single = len(action.gens) == 1
+def _toral_hypotheses(action: AlgebraicAction, cls: ConjugacyClass | None) -> dict:
+    """cls is the conjugacy class of the generator of a single-generator
+    action, None otherwise."""
+    single = cls is not None
     out = {"single_generator": single}
     if single:
         mat = action.matrices[0]
-        rou, k = has_root_of_unity_eigenvalue(mat)
+        rou, k = has_root_of_unity_eigenvalue(mat, cls.charpoly())
         out["non_automorphic"] = abs(mat.det()) > 1
         out["mixing"] = not rou
         out["root_of_unity_order"] = k
@@ -323,16 +327,15 @@ def _toral_hypotheses(action: AlgebraicAction) -> dict:
 def _compare_toral(args) -> CompareVerdict:
     a = load_action(_read_document(args.first))
     b = load_action(_read_document(args.second))
-    hyp_a, hyp_b = _toral_hypotheses(a), _toral_hypotheses(b)
+    ca, cb = (conjugacy_class(x.matrices[0]) if len(x.gens) == 1 else None for x in (a, b))
+    hyp_a, hyp_b = _toral_hypotheses(a, ca), _toral_hypotheses(b, cb)
     hypotheses = {"first": hyp_a, "second": hyp_b}
     ok = all(
         h.get("single_generator") and h.get("non_automorphic") and h.get("mixing")
         for h in (hyp_a, hyp_b)
     )
     evidence = [("rank", str(a.n), str(b.n))]
-    if hyp_a.get("single_generator") and hyp_b.get("single_generator"):
-        ca = conjugacy_class(a.matrices[0])
-        cb = conjugacy_class(b.matrices[0])
+    if ca is not None and cb is not None:
         evidence.append(("invariant_factors", "; ".join(ca.describe()), "; ".join(cb.describe())))
     if not ok:
         return CompareVerdict(

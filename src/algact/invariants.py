@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd
+from operator import mul
 
 from .arith import divisors, primes_up_to
 from .matrices import Matrix, charpoly, kernel_q, poly_invariant_factors, rank_q
@@ -32,6 +34,10 @@ class ConjugacyClass:
 
     def describe(self) -> list[str]:
         return [format_poly(f) for f in self.invariant_factors]
+
+    def charpoly(self) -> Poly:
+        """det(z*I - M): the product of the invariant factors."""
+        return reduce(mul, self.invariant_factors, Poly((1,)))
 
 
 def conjugacy_class(m: Matrix) -> ConjugacyClass:

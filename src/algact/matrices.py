@@ -1,6 +1,6 @@
 """Exact dense matrices and the integer normal forms the rest of the package
-lives on: Hermite form, Smith form, characteristic polynomials, invariant
-factors over Q[z].
+lives on: Hermite form, Smith form, characteristic polynomials, and the
+invariant factors over Q[z] by Krylov cyclic decomposition.
 
 Entries are ints or Fractions.  Matrices are immutable and hashable so that
 lattices can be deduplicated by their canonical basis.
@@ -8,7 +8,10 @@ lattices can be deduplicated by their canonical basis.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 from .arith import xgcd
 from .polynomials import Poly, _scalar
@@ -478,69 +481,103 @@ def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
 
 
 def poly_invariant_factors(m: Matrix) -> list[Poly]:
-    """Invariant factors of z*I - M over Q[z]: monic, each dividing the next.
+    """Invariant factors of z*I - M over Q[z]: monic, each dividing the next;
+    the complete conjugacy invariant over Q.
 
-    Computed by Smith reduction over the polynomial ring; the non-unit
-    diagonal entries are the complete conjugacy invariant over Q.
+    Computed by Krylov cyclic decomposition, with linear algebra over Q only
+    (Storjohann, ISSAC 1998; Giesbrecht, SIAM J. Comput. 1995).  The
+    minimal polynomial of e_1 comes from its Krylov sequence; when it has
+    degree n it is the only factor.  Otherwise a vector v whose minimal
+    polynomial mu is that of M is found, its Krylov space splits off as a
+    direct summand, mu is the last factor, and the others are those of the
+    map M induces on the quotient by that space.
     """
     if not m.is_square:
         raise ValueError("invariant factors of a non-square matrix")
     n = m.rows
-    a = [
-        [Poly((-m[i, j],)) + (Poly((0, 1)) if i == j else Poly()) for j in range(n)]
-        for i in range(n)
-    ]
-    for t in range(n):
-        while True:
-            piv = _min_degree_entry(a, t)
-            if piv is None:
-                break
-            pi, pj = piv
-            a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-            dirty = False
-            for i in range(t + 1, n):
-                if not a[i][t].is_zero():
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if not a[i][t].is_zero():
-                        dirty = True
-            for j in range(t + 1, n):
-                if not a[t][j].is_zero():
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] = row[j] - q * row[t]
-                    if not a[t][j].is_zero():
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if not (a[i][j] % a[t][t]).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-    factors = [a[i][i].monic() for i in range(n) if a[i][i].degree >= 1]
-    return factors
+    # Work on the integer matrix den*M, whose factors are den^k f(z/den).
+    den = lcm(*(x.denominator for x in m.flat()))
+    rows = [[int(x * den) for x in row] for row in m.entries()]
+    mu, basis = _krylov(rows, [1] + [0] * (n - 1))
+    if mu.degree < n:
+        mu, basis = _maximal_vector(rows, mu, basis)
+    factors = [mu] if mu.degree == n else poly_invariant_factors(_quotient(rows, basis)) + [mu]
+    if den == 1:
+        return factors
+    return [Poly([Fraction(c, den ** (f.degree - i)) for i, c in enumerate(f.coeffs)]) for f in factors]
 
 
-def _min_degree_entry(a, t):
-    best = None
-    best_deg = None
-    n = len(a)
-    for i in range(t, n):
-        for j in range(t, n):
-            e = a[i][j]
-            if not e.is_zero() and (best_deg is None or e.degree < best_deg):
-                best, best_deg = (i, j), e.degree
-    return best
+def _krylov(rows: list[list[int]], v: list[int]):
+    """Minimal polynomial of the integer vector v under the integer matrix
+    with these rows, and an echelon basis of the Krylov space of v.
+
+    Incremental fraction-free elimination.  A basis entry (p, x) holds, in
+    one primitive integer list x, a vector w = x[:n] that is nonzero at its
+    pivot p and zero at the pivots before it, and the coefficients x[n:] of
+    a polynomial a with w = a(M) v.  The next candidate is M w with
+    polynomial z*a; it reduces to zero exactly when M w lies in the span so
+    far, and its polynomial then annihilates v with degree the dimension of
+    that span.
+    """
+    n = len(rows)
+    basis = []
+    x = list(v) + [1] + [0] * n
+    while True:
+        x = _reduce(x, basis)[0]
+        if not any(x[:n]):
+            return Poly(x[n:]).monic(), basis
+        g = gcd(*x)
+        x = [a // g for a in x]
+        basis.append((next(i for i in range(n) if x[i]), x))
+        # _dot stops at the end of the row, so it reads only w.
+        x = [_dot(row, x) for row in rows] + [0] + x[n:-1]
+
+
+def _reduce(x: list[int], basis) -> tuple[list[int], int]:
+    """(s*x - k, s): x scaled by a nonzero integer s, minus the k in the span
+    of the basis vectors that makes it zero at every pivot.  The basis
+    entries are truncated to the length of x."""
+    scale = 1
+    for p, w in basis:
+        t = x[p]
+        if t:
+            s = w[p]
+            g = gcd(s, t)
+            s, t = s // g, t // g
+            x = [s * a - t * b for a, b in zip(x, w)]
+            scale *= s
+    return x, scale
+
+
+def _maximal_vector(rows: list[list[int]], mu: Poly, basis):
+    """A vector whose minimal polynomial is that of M, as _krylov returns it;
+    (mu, basis) is the result for e_1.
+
+    The minimal polynomial of M is the lcm of those of e_1, ..., e_n.  If no
+    e_i attains it, try sum_j c^j e_j for c = 2, 3, ...: the vectors that
+    miss it lie in at most n proper subspaces, one per irreducible factor,
+    and the curve c -> (c^j)_j meets each in at most n - 1 points, so at
+    most n(n - 1) values of c fail.
+    """
+    n = len(rows)
+    units = [(mu, basis)] + [_krylov(rows, [int(i == j) for j in range(n)]) for i in range(1, n)]
+    target = reduce(lambda f, g: f * g // f.gcd(g), (f for f, _ in units)).degree
+    powers = (_krylov(rows, [c**j for j in range(n)]) for c in itertools.count(2))
+    return next(found for found in itertools.chain(units, powers) if found[0].degree == target)
+
+
+def _quotient(rows: list[list[int]], basis) -> Matrix:
+    """The matrix of the map M induces on Q^n / K, K the span of the basis
+    vectors, on the images of the unit vectors e_q off the pivots: reducing
+    M e_q to zero at every pivot leaves its coordinates at the other q."""
+    n = len(rows)
+    pivots = {p for p, _ in basis}
+    rest = [q for q in range(n) if q not in pivots]
+    cols = []
+    for q in rest:
+        x, scale = _reduce([row[q] for row in rows], basis)
+        cols.append([Fraction(x[i], scale) for i in rest])
+    return Matrix(list(zip(*cols)))
 
 
 def is_companion(m: Matrix) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from algact import actions, cli, polyring
+from algact import actions, cli, matrices, polyring
 from algact.invariants import (
     UnipotentFamily,
     rank_bound_check,
@@ -16,6 +16,7 @@ from algact.invariants import (
 )
 from algact.matrices import Matrix
 from algact.polynomials import Poly
+from algact.presets import EXAMPLE_ACTIONS
 
 
 def write(tmp_path, name, doc):
@@ -145,6 +146,55 @@ def test_compare_toral_hypothesis_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["compare", a, b, "--mode", "toral", "--json"])
     assert code == 0
     assert json.loads(out)["status"] == "inconclusive"
+
+
+def count_calls(monkeypatch, real):
+    """Replace `real` in every algact module that imported it by a wrapper
+    recording its first argument; returns the record."""
+    calls = []
+
+    def counting(m, *args):
+        calls.append(m)
+        return real(m, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algact") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "docs,factor_calls",
+    [
+        ((action_doc(2, [[2, 1, 0, 3]]), action_doc(2, [[2, 2, 0, 3]])), 2),
+        ((action_doc(2, [[2, 0, 0, 1], [3, 0, 0, 1]]), action_doc(2, [[2, 2, 0, 3]])), 1),
+    ],
+    ids=["both-single", "one-single"],
+)
+def test_compare_toral_one_invariant_factor_computation_per_side(tmp_path, capsys, monkeypatch, docs, factor_calls):
+    factors = count_calls(monkeypatch, matrices.poly_invariant_factors)
+    charpolys = count_calls(monkeypatch, matrices.charpoly)
+    paths = [write(tmp_path, f"{i}.json", doc) for i, doc in enumerate(docs)]
+    code, out, _ = run_cli(capsys, ["compare", *paths, "--mode", "toral", "--json"])
+    assert code == 0
+    assert len(factors) == factor_calls and charpolys == []
+    hypotheses = json.loads(out)["hypotheses"]
+    assert hypotheses["second"] == {
+        "single_generator": True,
+        "non_automorphic": True,
+        "mixing": True,
+        "root_of_unity_order": None,
+    }
+
+
+@pytest.mark.parametrize("preset", sorted(EXAMPLE_ACTIONS))
+def test_analyze_computes_one_charpoly_per_generator(tmp_path, capsys, monkeypatch, preset):
+    action = EXAMPLE_ACTIONS[preset]()
+    doc = action_doc(action.n, [m.flat() for m in action.matrices], action.monoid_kind, list(action.names))
+    calls = count_calls(monkeypatch, matrices.charpoly)
+    code, _, _ = run_cli(capsys, ["analyze", write(tmp_path, "a.json", doc), "--json"])
+    assert code == 0
+    assert calls == list(action.matrices)
 
 
 def test_compare_ring_mode(tmp_path, capsys):
