@@ -540,14 +540,15 @@ def exactness(family: ConstructibleFamily, chi: Poly | None = None) -> Exactness
         if chi is None:
             chi = charpoly(mat)
         cyc = cyclotomic_divisor(chi)
+        unimodular = abs(chi[0]) == 1
         label = "companion-case theorem" if is_companion(mat) else "heuristic for general matrices"
         criterion = {
             "charpoly": format_poly(chi),
             "cyclotomic_divisor": cyc,
-            "unimodular_generator": abs(mat.det()) == 1,
+            "unimodular_generator": unimodular,
             "label": label,
         }
-        if abs(mat.det()) == 1:
+        if unimodular:
             return ExactnessReport(
                 "not_exact", True, "the generator is an automorphism", indices, strictly, False, None, criterion, None
             )

@@ -316,9 +316,10 @@ def _toral_hypotheses(action: AlgebraicAction, cls: ConjugacyClass | None) -> di
     single = cls is not None
     out = {"single_generator": single}
     if single:
-        mat = action.matrices[0]
-        rou, k = has_root_of_unity_eigenvalue(mat, cls.charpoly())
-        out["non_automorphic"] = abs(mat.det()) > 1
+        chi = cls.charpoly()
+        rou, k = has_root_of_unity_eigenvalue(action.matrices[0], chi)
+        # chi(0) = (-1)^n det M
+        out["non_automorphic"] = abs(chi[0]) > 1
         out["mixing"] = not rou
         out["root_of_unity_order"] = k
     return out

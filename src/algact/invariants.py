@@ -88,16 +88,7 @@ def torsion_order(m: Matrix) -> int | None:
 def is_unipotent(m: Matrix) -> bool:
     if not m.is_square:
         return False
-    n = m.rows
-    expected = Poly([(-1) ** (n - i) * _binom(n, i) for i in range(n + 1)])
-    return charpoly(m) == expected
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return charpoly(m) == Poly((-1, 1)) ** m.rows
 
 
 def _nilpotency_index(n: Matrix) -> int:

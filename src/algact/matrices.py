@@ -1,9 +1,11 @@
 """Exact dense matrices and the integer normal forms the rest of the package
-lives on: Hermite form, Smith form, characteristic polynomials, and the
-invariant factors over Q[z] by Krylov cyclic decomposition.
+lives on: Hermite form, Smith form, and the invariant factors over Q[z] by
+Krylov cyclic decomposition, whose product is the characteristic polynomial.
 
 Entries are ints or Fractions.  Matrices are immutable and hashable so that
-lattices can be deduplicated by their canonical basis.
+lattices can be deduplicated by their canonical basis.  The determinant and
+the invariant factors of a rational matrix are computed on the integer
+matrix den*M (`_scaled_rows`) and scaled back.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from .arith import xgcd
 from .polynomials import Poly, _scalar
@@ -172,12 +175,13 @@ class Matrix:
         return out
 
     def det(self):
-        """Exact determinant (Bareiss on integer input, Gaussian otherwise)."""
+        """Exact determinant: Bareiss elimination (Math. Comp. 22, 1968) on
+        den*M, divided by den^n.  An int when it is integral."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        if self.is_integral():
-            return _det_bareiss([list(r) for r in self._e])
-        return _det_fraction([list(map(Fraction, r)) for r in self._e])
+        rows, den = _scaled_rows(self)
+        d = _det_bareiss(rows)
+        return d if den == 1 else _scalar(Fraction(d, den**self.rows))
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -239,25 +243,6 @@ def _det_bareiss(a: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def _det_fraction(a: list[list[Fraction]]) -> Fraction | int:
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k]:
-                f = a[r][k] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return _scalar(det)
 
 
 # --------------------------------------------------------------------------
@@ -457,20 +442,12 @@ def rank_q(m: Matrix) -> int:
 
 
 def charpoly(m: Matrix) -> Poly:
-    """Characteristic polynomial det(z*I - M) by the Faddeev-LeVerrier scheme."""
+    """Characteristic polynomial det(z*I - M): the product of the invariant
+    factors, so just the Krylov minimal polynomial of e_1 when that has
+    degree n."""
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    a = m
-    c = -Fraction(a.trace())
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        a = m * (a + Matrix.identity(n) * c)
-        c = -Fraction(a.trace()) / k
-        coeffs[n - k] = c
-    return Poly(coeffs)
+    return reduce(mul, poly_invariant_factors(m))
 
 
 def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
@@ -496,8 +473,7 @@ def poly_invariant_factors(m: Matrix) -> list[Poly]:
         raise ValueError("invariant factors of a non-square matrix")
     n = m.rows
     # Work on the integer matrix den*M, whose factors are den^k f(z/den).
-    den = lcm(*(x.denominator for x in m.flat()))
-    rows = [[int(x * den) for x in row] for row in m.entries()]
+    rows, den = _scaled_rows(m)
     mu, basis = _krylov(rows, [1] + [0] * (n - 1))
     if mu.degree < n:
         mu, basis = _maximal_vector(rows, mu, basis)
@@ -505,6 +481,15 @@ def poly_invariant_factors(m: Matrix) -> list[Poly]:
     if den == 1:
         return factors
     return [Poly([Fraction(c, den ** (f.degree - i)) for i, c in enumerate(f.coeffs)]) for f in factors]
+
+
+def _scaled_rows(m: Matrix) -> tuple[list[list[int]], int]:
+    """(rows of den*M as new integer lists, den), den the lcm of the
+    denominators of the entries of M."""
+    den = lcm(*[x.denominator for row in m.entries() for x in row])
+    if den == 1:
+        return [list(row) for row in m.entries()], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m.entries()], den
 
 
 def _krylov(rows: list[list[int]], v: list[int]):

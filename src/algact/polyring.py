@@ -444,8 +444,10 @@ class QuotientAlgebra:
         return out
 
     def char_poly_and_norm(self, f: MPoly) -> tuple[Poly, int | Fraction]:
-        tf = self.mult_matrix(f)
-        return charpoly(tf), abs(tf.det())
+        """The characteristic polynomial chi of multiplication by f, and its
+        norm |det T_f| = |chi(0)|."""
+        chi = charpoly(self.mult_matrix(f))
+        return chi, abs(chi[0])
 
 
 def quotient_algebra(gb, nvars: int, order: str = DEGREVLEX) -> QuotientAlgebra:

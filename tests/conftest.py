@@ -3,6 +3,7 @@ import random
 import pytest
 
 from algact.matrices import Matrix
+from algact.polynomials import Poly
 
 
 def random_int_matrix(rng: random.Random, n: int, bound: int) -> Matrix:
@@ -28,6 +29,26 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 12) -> Matrix:
         else:
             c = rng.choice((-2, -1, 1, 2))
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return Matrix(rows)
+
+
+def conjugate(rng: random.Random, m: Matrix) -> Matrix:
+    u = random_unimodular(rng, m.rows)
+    return u * m * u.inverse()
+
+
+def companion(*coeffs) -> Matrix:
+    return Matrix.companion(Poly(coeffs))
+
+
+def block_diagonal(*blocks: Matrix) -> Matrix:
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i in range(b.rows):
+            rows[at + i][at : at + b.rows] = b.row(i)
+        at += b.rows
     return Matrix(rows)
 
 

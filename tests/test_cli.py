@@ -187,6 +187,32 @@ def test_compare_toral_one_invariant_factor_computation_per_side(tmp_path, capsy
     }
 
 
+def count_det_calls(monkeypatch):
+    calls = []
+    real = Matrix.det
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(Matrix, "det", counting)
+    return calls
+
+
+def test_compare_toral_one_determinant_per_generator(tmp_path, capsys, monkeypatch):
+    # The only determinants are the singularity checks of AlgebraicAction;
+    # non_automorphic reads |det| as |chi(0)|.
+    first = action_doc(3, [[0, 0, 2, 1, 0, 0, 0, 1, 0]])
+    second = action_doc(3, [[0, 0, 3, 1, 0, 1, 0, 1, 0]])
+    paths = [write(tmp_path, "a.json", first), write(tmp_path, "b.json", second)]
+    calls = count_det_calls(monkeypatch)
+    code, out, _ = run_cli(capsys, ["compare", *paths, "--mode", "toral", "--json"])
+    assert code == 0
+    assert len(calls) == 2
+    hypotheses = json.loads(out)["hypotheses"]
+    assert hypotheses["first"]["non_automorphic"] and hypotheses["second"]["non_automorphic"]
+
+
 @pytest.mark.parametrize("preset", sorted(EXAMPLE_ACTIONS))
 def test_analyze_computes_one_charpoly_per_generator(tmp_path, capsys, monkeypatch, preset):
     action = EXAMPLE_ACTIONS[preset]()

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algact.matrices import Matrix, _krylov, charpoly, poly_invariant_factors
+from algact.matrices import Matrix, _krylov, poly_invariant_factors
 from algact.polynomials import Poly
 
-from conftest import random_int_matrix, random_unimodular
+from conftest import block_diagonal, companion, conjugate, random_int_matrix
+from test_charpoly_reference import faddeev_leverrier
 
 
 def reference_invariant_factors(m: Matrix) -> list[Poly]:
@@ -72,26 +73,6 @@ def _min_degree_entry(a, t):
             if not e.is_zero() and (best_deg is None or e.degree < best_deg):
                 best, best_deg = (i, j), e.degree
     return best
-
-
-def companion(*coeffs) -> Matrix:
-    return Matrix.companion(Poly(coeffs))
-
-
-def block_diagonal(*blocks: Matrix) -> Matrix:
-    n = sum(b.rows for b in blocks)
-    rows = [[0] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        for i in range(b.rows):
-            rows[at + i][at : at + b.rows] = b.row(i)
-        at += b.rows
-    return Matrix(rows)
-
-
-def conjugate(rng, m: Matrix) -> Matrix:
-    u = random_unimodular(rng, m.rows)
-    return u * m * u.inverse()
 
 
 JORDAN_2 = Matrix([[2, 1], [0, 2]])
@@ -210,7 +191,7 @@ def test_invariant_factor_properties(m, seed):
     for f in factors:
         assert f.is_monic() and f.degree >= 1
         prod = prod * f
-    assert prod == charpoly(m)
+    assert prod == faddeev_leverrier(m)
     for a, b in zip(factors, factors[1:]):
         assert a.divides(b)
     assert poly_invariant_factors(conjugate(random.Random(seed), m)) == factors

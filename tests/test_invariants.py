@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -181,6 +182,13 @@ def test_log_exp_roundtrip(rng):
             assert is_unipotent(alpha)
             assert nilpotent_exp(unipotent_log(alpha)) == alpha
             assert unipotent_log(nilpotent_exp(nil)) == nil
+        # Trace n and, from n = 3 on, determinant 1, but not unipotent.
+        off = Matrix.diagonal([2, 0] + [1] * (n - 2))
+        assert off.trace() == n and not is_unipotent(off)
+        if n >= 3:
+            u = random_unimodular(random.Random(n), n)
+            c = u * Matrix.companion(Poly((-1, 1)) ** n + Poly((0, 1))) * u.inverse()
+            assert c.trace() == n and c.det() == 1 and not is_unipotent(c)
 
 
 def test_log_is_homomorphism_on_commuting(rng):

@@ -19,6 +19,7 @@ from algact.matrices import (
 from algact.polynomials import Poly
 
 from conftest import random_int_matrix, random_unimodular
+from test_charpoly_reference import faddeev_leverrier
 
 
 def int_matrix(n, bound=9):
@@ -53,6 +54,11 @@ def test_det_matches_cofactor_small(rng):
         for _ in range(20):
             m = random_int_matrix(rng, n, 6)
             assert m.det() == cofactor_det(m)
+            q = Matrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)])
+            assert q.det() == cofactor_det(q)
+    assert Matrix([[Fraction(1, 2), 0], [0, 4]]).det() == 2
+    assert type(Matrix([[Fraction(1, 2), 0], [0, 4]]).det()) is int
+    assert Matrix([[Fraction(1, 2), 1], [1, 2]]).det() == 0
 
 
 def test_pow_negative():
@@ -412,7 +418,7 @@ def test_invariant_factors_structure(rng):
         for f in factors:
             assert f.is_monic()
             prod = prod * f
-        assert prod == charpoly(m)
+        assert prod == faddeev_leverrier(m)
         for a, b in zip(factors, factors[1:]):
             assert a.divides(b)
         assert factors[-1] == minimal_polynomial_brute(m)

@@ -203,6 +203,20 @@ def test_quotient_algebra_two_square_roots():
     assert qa.char_poly_and_norm(MPoly.variable(2, 1))[1] == 9
 
 
+def test_norm_is_read_off_the_characteristic_polynomial(monkeypatch):
+    names = ["u", "v"]
+    qa = quotient_algebra(buchberger([P("2*u^2-3", names), P("v^2-u-1", names)]), 2)
+    fs = [MPoly.variable(2, 0), MPoly.variable(2, 1), P("u*v+1", names)]
+    calls = []
+    real = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda m: calls.append(m) or real(m))
+    norms = [qa.char_poly_and_norm(f)[1] for f in fs]
+    assert calls == []
+    monkeypatch.undo()
+    assert norms == [abs(qa.mult_matrix(f).det()) for f in fs]
+    assert norms[:2] == [Fraction(9, 4), Fraction(1, 2)]
+
+
 def test_quotient_algebra_point():
     qa = quotient_algebra(buchberger([P("u-5", ["u"])]), 1)
     assert qa.basis == [(0,)]
