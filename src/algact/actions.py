@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 
 from .arith import prime_factors
 from .lattices import Lattice, image, intersect, preimage
@@ -167,10 +168,12 @@ def check_standing(action: AlgebraicAction, word_bound: int = 6) -> StandingRepo
     note = "pairwise distinct generator matrices"
     commuting = all(a * b == b * a for a, b in itertools.combinations(mats, 2))
     if action.monoid_kind == FREE_ABELIAN and faithful:
-        witness = _dependent_exponent_vector(mats, word_bound)
-        if witness is not None:
+        ident = Matrix.identity(action.n)
+        relation = next((word for word, mat in _word_matrices(action, word_bound) if mat == ident), None)
+        if relation is not None:
             faithful = False
-            note = f"multiplicative relation at exponents {witness}"
+            exps = dict(relation.pairs)
+            note = f"multiplicative relation at exponents {tuple(exps.get(i, 0) for i in range(len(mats)))}"
         else:
             note = f"multiplicatively independent up to word length {word_bound}"
     if action.monoid_kind == FREE_ABELIAN:
@@ -180,21 +183,6 @@ def check_standing(action: AlgebraicAction, word_bound: int = 6) -> StandingRepo
         pc = None
         jf = "assumed (automatic only for Ore monoids)"
     return StandingReport(fi, non_auto, faithful, note, commuting, pc, jf, dets)
-
-
-def _dependent_exponent_vector(mats, bound):
-    n = mats[0].rows
-    ident = Matrix.identity(n)
-    num = len(mats)
-    for total in range(1, bound + 1):
-        for vec in _signed_vectors(num, total):
-            out = ident
-            for m, e in zip(mats, vec):
-                if e:
-                    out = out * (m ** e)
-            if out == ident:
-                return vec
-    return None
 
 
 def _signed_vectors(num, total):
@@ -362,8 +350,7 @@ def check_condition_F(
     ident = Matrix.identity(action.n)
     failing = None
     checked = 0
-    for word in _group_words(action, word_bound):
-        mat = word.evaluate(action, allow_inverses=True)
+    for word, mat in _word_matrices(action, word_bound):
         checked += 1
         if (ident - mat).det() == 0:
             failing = word.describe(action)
@@ -379,30 +366,37 @@ def check_condition_F(
     return ConditionFReport(failing is None, word_bound, failing, checked, equivalence)
 
 
-def _group_words(action: AlgebraicAction, bound: int):
-    num = len(action.gens)
+def _word_matrices(action: AlgebraicAction, bound: int):
+    """Yield (word, matrix) for every nontrivial group word of length at most
+    bound: exponent vectors by increasing length, each followed by its
+    negation, for a free-abelian monoid; reduced words depth first for a free
+    one.  A word's matrix is a product of table powers, or its prefix's matrix
+    times one letter, and each generator is inverted once."""
+    mats = action.matrices
     if action.monoid_kind == FREE_ABELIAN:
+        tables = [{0: Matrix.identity(action.n)} for _ in mats]
         for total in range(1, bound + 1):
-            for vec in _signed_vectors(num, total):
-                yield Word.from_exponents(vec)
-                neg = tuple(-e for e in vec)
-                if neg != vec:
-                    yield Word.from_exponents(neg)
-    else:
-        # Reduced words over the generators and their inverses.
-        letters = [(i, 1) for i in range(num)] + [(i, -1) for i in range(num)]
+            for m, table in zip(mats, tables):
+                table[total] = table[total - 1] * m
+                table[-total] = m.inverse() if total == 1 else table[1 - total] * table[-1]
+            for vec in _signed_vectors(len(mats), total):
+                for exps in (vec, tuple(-e for e in vec)):
+                    word = Word.from_exponents(exps)
+                    yield word, reduce(mul, (tables[i][e] for i, e in word.pairs))
+        return
+    letters = [((i, 1), m) for i, m in enumerate(mats)] + [((i, -1), m.inverse()) for i, m in enumerate(mats)]
 
-        def extend(word, length):
-            if word:
-                yield Word.from_pairs(word)
-            if length == bound:
-                return
-            for i, s in letters:
-                if word and word[-1][0] == i and word[-1][1] * s < 0:
-                    continue
-                yield from extend(word + [(i, s)], length + 1)
+    def extend(word, mat):
+        if word:
+            yield Word.from_pairs(word), mat
+        if len(word) == bound:
+            return
+        for (i, s), step in letters:
+            if word and word[-1][0] == i and word[-1][1] * s < 0:
+                continue
+            yield from extend(word + [(i, s)], mat * step)
 
-        yield from extend([], 0)
+    yield from extend([], Matrix.identity(action.n))
 
 
 @dataclass

@@ -77,7 +77,11 @@ class CompareVerdict:
 
 def _read_document(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from exc
     try:

@@ -1,71 +1,16 @@
 """Polynomial arithmetic over F_p and the distinct-degree splitting signature.
 
 Polynomials mod p are coefficient lists (low degree first, entries in [0, p),
-no trailing zeros); ModPoly packages such a list with its modulus.  Only what
-the splitting signature needs is implemented: division, gcd, and modular
-exponentiation of x.
+no trailing zeros).  Only what the splitting signature needs is implemented:
+division, gcd, and modular exponentiation of x.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .arith import is_prime
 from .polynomials import Poly
 
 RAMIFIED = "ramified"
-
-
-@dataclass(frozen=True)
-class ModPoly:
-    """A polynomial over F_p: reduced coefficients plus the prime modulus."""
-
-    coeffs: tuple[int, ...]
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        reduced = _trim([c % self.p for c in self.coeffs])
-        object.__setattr__(self, "coeffs", tuple(reduced))
-
-    @classmethod
-    def from_poly(cls, f: Poly, p: int) -> "ModPoly":
-        if not f.is_integral():
-            raise ValueError("integer polynomial required")
-        return cls(tuple(f.coeffs), p)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return ModPoly(tuple(_mul(list(self.coeffs), list(other.coeffs), self.p)), self.p)
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        out = [0] * max(len(self.coeffs), len(other.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = (out[i] + c) % self.p
-        return ModPoly(tuple(out), self.p)
-
-    def __mod__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return ModPoly(tuple(_mod(list(self.coeffs), list(other.coeffs), self.p)), self.p)
-
-    def gcd(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return ModPoly(tuple(_gcd(list(self.coeffs), list(other.coeffs), self.p)), self.p)
-
-    def _check(self, other: "ModPoly"):
-        if self.p != other.p:
-            raise ValueError("moduli differ")
 
 
 def _trim(a: list[int]) -> list[int]:

@@ -173,14 +173,14 @@ def action_from_ring(ring: StructureRing, generators, names=None) -> AlgebraicAc
 def has_scalar_generator(ring: StructureRing, generators) -> bool:
     """Is some generator an integer multiple kappa*1 with kappa not in {0, 1}?
     (A hypothesis the non-commutative comparison theorems want; when absent
-    the caller must assert it.)"""
+    the caller must assert it.)  kappa is read off the first coordinate
+    where the unit, nonzero in a valid ring, is nonzero."""
+    j = next(i for i, o in enumerate(ring.one) if o)
     for g in generators:
         g = tuple(g)
-        for kappa in range(-64, 65):
-            if kappa in (0, 1):
-                continue
-            if g == tuple(kappa * o for o in ring.one):
-                return True
+        kappa = g[j] // ring.one[j]
+        if kappa not in (0, 1) and g == tuple(kappa * o for o in ring.one):
+            return True
     return False
 
 

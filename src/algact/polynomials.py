@@ -228,14 +228,12 @@ def cyclotomic(k: int) -> Poly:
     return f
 
 
-def cyclotomic_indices(max_phi: int, k_bound: int | None = None) -> list[int]:
-    """All k with euler_phi(k) <= max_phi, scanned up to k_bound.
+def cyclotomic_indices(max_phi: int) -> list[int]:
+    """All k with euler_phi(k) <= max_phi.
 
     phi(k) >= sqrt(k/2), so k <= 2*max_phi^2 is a complete scan bound.
     """
-    if k_bound is None:
-        k_bound = max(1, 2 * max_phi * max_phi)
-    return [k for k in range(1, k_bound + 1) if euler_phi(k) <= max_phi]
+    return [k for k in range(1, 2 * max_phi * max_phi + 1) if euler_phi(k) <= max_phi]
 
 
 def cyclotomic_divisor(f: Poly) -> int | None:

@@ -2,21 +2,8 @@ import random
 
 import pytest
 
-from algact.modp import RAMIFIED, ModPoly, ddf_signature
+from algact.modp import RAMIFIED, ddf_signature
 from algact.polynomials import Poly
-
-
-def test_modpoly_carrier():
-    f = ModPoly.from_poly(Poly((1, 0, 1)), 5)
-    assert f.coeffs == (1, 0, 1) and f.p == 5
-    g = ModPoly((8, 6), 5)  # reduced on construction
-    assert g.coeffs == (3, 1)
-    assert (f % g).is_zero()  # -3 is a root of z^2 + 1 mod 5
-    assert f.gcd(g) == g
-    with pytest.raises(ValueError):
-        ModPoly((1,), 6)
-    with pytest.raises(ValueError):
-        f + ModPoly((1,), 7)
 
 
 def test_signature_known_cases():

@@ -144,6 +144,30 @@ def test_scalar_generator_detection():
     m2 = ring_preset("M2Z")
     assert has_scalar_generator(m2, [(2, 0, 0, 2)])
     assert not has_scalar_generator(m2, [(1, 1, 0, 1)])
+    assert not has_scalar_generator(m2, [(1, 0, 0, 1), (0, 0, 0, 0), (3, 0, 0, 2)])
+
+
+def test_scalar_generator_detection_has_no_size_bound():
+    assert has_scalar_generator(ring_preset("Z"), [(65,)])
+    zi = ring_preset("Zi")
+    assert has_scalar_generator(zi, [(100, 0)])
+    assert has_scalar_generator(zi, [(1, 1), (-70, 0)])
+    assert not has_scalar_generator(zi, [(100, 1), (1, 0), (0, 0)])
+
+
+def test_scalar_generator_detection_reads_a_spread_out_unit():
+    # Z x Z on its idempotent basis: the unit is (1, 1).
+    zz = StructureRing(2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], (1, 1))
+    assert validate(zz).valid
+    assert has_scalar_generator(zz, [(5, 5)])
+    assert has_scalar_generator(zz, [(-100, -100)])
+    assert not has_scalar_generator(zz, [(1, 1), (0, 0), (5, 6), (6, 5)])
+    # Z x Z on the basis b1 = (1, 0), b2 = (-2, 1): the unit is 3*b1 + b2.
+    skew = StructureRing(2, [[[1, 0], [-2, 0]], [[-2, 0], [6, 1]]], (3, 1))
+    assert validate(skew).valid
+    assert has_scalar_generator(skew, [(6, 2)])
+    assert has_scalar_generator(skew, [(-210, -70)])
+    assert not has_scalar_generator(skew, [(3, 1), (7, 2), (8, 2), (6, 3)])
 
 
 def test_round_trip_with_quotient_algebra():
