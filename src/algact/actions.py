@@ -19,7 +19,7 @@ from operator import mul
 from .arith import prime_factors
 from .lattices import Lattice, image, intersect, preimage
 from .matrices import Matrix, charpoly, is_companion, right_kernel_int
-from .polynomials import Poly, cyclotomic_divisor, format_poly
+from .polynomials import CyclotomicSplit, cyclotomic_split, format_poly, unit_factor_exactness
 
 FREE = "free"
 FREE_ABELIAN = "free-abelian"
@@ -314,16 +314,12 @@ def index_primes(action: AlgebraicAction, depth: int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def has_root_of_unity_eigenvalue(m: Matrix, chi: Poly | None = None) -> tuple[bool, int | None]:
-    """Does M have an eigenvalue that is a root of unity?  Returns (flag, k).
-
-    Complete: an order-k root of unity has degree phi(k) <= n, and the scan
-    covers every k with phi(k) <= n.  chi is the characteristic polynomial
-    of M, when the caller has it.
-    """
+def has_root_of_unity_eigenvalue(m: Matrix) -> tuple[bool, int | None]:
+    """Does M have an eigenvalue that is a root of unity?  Returns (flag, k)
+    with k the least such order: complete by `cyclotomic_split`."""
     if not m.is_square:
         raise ValueError("square matrix required")
-    k = cyclotomic_divisor(charpoly(m) if chi is None else chi)
+    k = cyclotomic_split(charpoly(m)).least_order
     return k is not None, k
 
 
@@ -337,15 +333,15 @@ class ConditionFReport:
 
 
 def check_condition_F(
-    action: AlgebraicAction, word_bound: int = 6, chi: Poly | None = None
+    action: AlgebraicAction, word_bound: int = 6, chi: CyclotomicSplit | None = None
 ) -> ConditionFReport:
     """Check that id - w acts injectively for every nontrivial group word w
     up to the length bound, i.e. det(I - M_w) != 0 over Q.
 
     For a single generator the bounded check is upgraded to the exact
     statement: injectivity at every power is equivalent to the generator
-    having no root-of-unity eigenvalue.  chi is the characteristic
-    polynomial of that generator, when the caller has it.
+    having no root-of-unity eigenvalue.  chi is the cyclotomic split of that
+    generator's characteristic polynomial, when the caller has it.
     """
     ident = Matrix.identity(action.n)
     failing = None
@@ -357,10 +353,12 @@ def check_condition_F(
             break
     equivalence = None
     if len(action.gens) == 1:
-        rou, k = has_root_of_unity_eigenvalue(action.matrices[0], chi)
+        if chi is None:
+            chi = cyclotomic_split(charpoly(action.matrices[0]))
+        k = chi.least_order
         equivalence = {
-            "no_root_of_unity_eigenvalue": not rou,
-            "holds_at_every_power": not rou,
+            "no_root_of_unity_eigenvalue": k is None,
+            "holds_at_every_power": k is None,
             "witness_order": k,
         }
     return ConditionFReport(failing is None, word_bound, failing, checked, equivalence)
@@ -484,14 +482,7 @@ class ExactnessReport:
     caveat: str | None
 
 
-_UNIT_FACTOR_CAVEAT = (
-    "an 'exact' verdict additionally assumes the characteristic polynomial has no "
-    "degree>=2 factor with constant term ±1 beyond the tested cyclotomics; a full "
-    "factor search is out of scope"
-)
-
-
-def exactness(family: ConstructibleFamily, chi: Poly | None = None) -> ExactnessReport:
+def exactness(family: ConstructibleFamily, chi: CyclotomicSplit | None = None) -> ExactnessReport:
     """Two-part exactness verdict for the action of a constructible family.
 
     Empirical part: track the index of the total intersection of the depth-k
@@ -499,13 +490,11 @@ def exactness(family: ConstructibleFamily, chi: Poly | None = None) -> Exactness
     equals the intersection of the whole (finite) family, which is full rank,
     so the action is definitively not exact.
 
-    Criterion part (single generator): a cyclotomic factor of the
-    characteristic polynomial, or a unit determinant, certifies a sublattice
-    on which the generator restricts to an automorphism, hence not exact.
-    Otherwise the action is reported exact under the companion-case theorem
-    (labeled heuristic for non-companion matrices).  chi is the
-    characteristic polynomial of the single generator, when the caller has
-    it.
+    Criterion part (single generator): `unit_factor_exactness` on the
+    cyclotomic split of the characteristic polynomial, with the
+    companion-case theorem as the basis of an exact verdict (labeled
+    heuristic for non-companion matrices).  chi is that split, when the
+    caller has it.
     """
     action = family.action
     total = Lattice.standard(action.n)
@@ -515,8 +504,6 @@ def exactness(family: ConstructibleFamily, chi: Poly | None = None) -> Exactness
         indices.append(total.index())
     strictly = all(a < b for a, b in zip(indices, indices[1:]))
 
-    criterion = None
-    caveat = None
     if family.saturated:
         return ExactnessReport(
             "not_exact",
@@ -532,36 +519,17 @@ def exactness(family: ConstructibleFamily, chi: Poly | None = None) -> Exactness
     if len(action.gens) == 1:
         mat = action.matrices[0]
         if chi is None:
-            chi = charpoly(mat)
-        cyc = cyclotomic_divisor(chi)
-        unimodular = abs(chi[0]) == 1
+            chi = cyclotomic_split(charpoly(mat))
         label = "companion-case theorem" if is_companion(mat) else "heuristic for general matrices"
         criterion = {
-            "charpoly": format_poly(chi),
-            "cyclotomic_divisor": cyc,
-            "unimodular_generator": unimodular,
+            "charpoly": format_poly(chi.poly),
+            "cyclotomic_divisor": chi.least_order,
+            "unimodular_generator": abs(chi.poly[0]) == 1,
             "label": label,
         }
-        if unimodular:
-            return ExactnessReport(
-                "not_exact", True, "the generator is an automorphism", indices, strictly, False, None, criterion, None
-            )
-        if cyc is not None:
-            return ExactnessReport(
-                "not_exact",
-                True,
-                f"cyclotomic factor of order {cyc} certifies an invariant subgroup acted on by automorphisms",
-                indices,
-                strictly,
-                False,
-                None,
-                criterion,
-                None,
-            )
-        caveat = _UNIT_FACTOR_CAVEAT
+        verdict, basis, caveat = unit_factor_exactness(chi, label)
         return ExactnessReport(
-            "exact", False, label, indices, strictly, False, None, criterion, caveat
+            verdict, verdict == "not_exact", basis, indices, strictly, False, None, criterion, caveat
         )
-    verdict = "undecided"
     basis = "multi-generator action: empirical evidence only"
-    return ExactnessReport(verdict, False, basis, indices, strictly, False, None, None, None)
+    return ExactnessReport("undecided", False, basis, indices, strictly, False, None, None, None)

@@ -29,7 +29,6 @@ from .actions import (
     check_standing,
     constructible_family,
     exactness,
-    has_root_of_unity_eigenvalue,
 )
 from .errors import InternalCheckError, SchemaError
 from .groupoid import level_map, translation_orbit, verify_word_identity
@@ -47,6 +46,7 @@ from .orders import (
     ring_preset,
     validate,
 )
+from .polynomials import cyclotomic_split
 from .polyring import (
     DEGREVLEX,
     ORDERS,
@@ -200,12 +200,12 @@ def load_compare_poly(doc: dict, pointer: str = ""):
 def analyze_action(action: AlgebraicAction, depth: int, word_bound: int) -> dict:
     standing = check_standing(action, word_bound)
     family = constructible_family(action, depth)
-    chis = [charpoly(mat) for mat in action.matrices]
-    mixing = {}
-    for (name, mat), chi in zip(action.gens, chis):
-        rou, k = has_root_of_unity_eigenvalue(mat, chi)
-        mixing[name] = {"has_root_of_unity_eigenvalue": rou, "witness_order": k}
-    single = chis[0] if len(chis) == 1 else None
+    splits = [cyclotomic_split(charpoly(mat)) for mat in action.matrices]
+    mixing = {
+        name: {"has_root_of_unity_eigenvalue": split.least_order is not None, "witness_order": split.least_order}
+        for name, split in zip(action.names, splits)
+    }
+    single = splits[0] if len(splits) == 1 else None
     cond_f = check_condition_F(action, word_bound, single)
     if action.monoid_kind == FREE_ABELIAN:
         sf = check_SF_via_det(action)
@@ -314,18 +314,17 @@ def _render_compare(report: dict) -> list[str]:
     return lines
 
 
-def _toral_hypotheses(action: AlgebraicAction, cls: ConjugacyClass | None) -> dict:
+def _toral_hypotheses(cls: ConjugacyClass | None) -> dict:
     """cls is the conjugacy class of the generator of a single-generator
     action, None otherwise."""
     single = cls is not None
     out = {"single_generator": single}
     if single:
-        chi = cls.charpoly()
-        rou, k = has_root_of_unity_eigenvalue(action.matrices[0], chi)
+        split = cyclotomic_split(cls.charpoly())
         # chi(0) = (-1)^n det M
-        out["non_automorphic"] = abs(chi[0]) > 1
-        out["mixing"] = not rou
-        out["root_of_unity_order"] = k
+        out["non_automorphic"] = abs(split.poly[0]) > 1
+        out["mixing"] = split.least_order is None
+        out["root_of_unity_order"] = split.least_order
     return out
 
 
@@ -333,7 +332,7 @@ def _compare_toral(args) -> CompareVerdict:
     a = load_action(_read_document(args.first))
     b = load_action(_read_document(args.second))
     ca, cb = (conjugacy_class(x.matrices[0]) if len(x.gens) == 1 else None for x in (a, b))
-    hyp_a, hyp_b = _toral_hypotheses(a, ca), _toral_hypotheses(b, cb)
+    hyp_a, hyp_b = _toral_hypotheses(ca), _toral_hypotheses(cb)
     hypotheses = {"first": hyp_a, "second": hyp_b}
     ok = all(
         h.get("single_generator") and h.get("non_automorphic") and h.get("mixing")

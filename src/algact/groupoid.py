@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import AlgebraicAction, Word, index_primes
+from .actions import AlgebraicAction, Word
 from .arith import prime_factors
 from .lattices import Lattice, QuotientLevel, image, lattice_sum, preimage, quotient
 from .matrices import Matrix, charpoly
@@ -285,6 +285,3 @@ def denominator_support(action: AlgebraicAction, word: Word, x) -> set[int]:
             primes.update(factors)
     return primes
 
-
-def denominator_support_bound(action: AlgebraicAction, depth: int = 2) -> set[int]:
-    return index_primes(action, depth)

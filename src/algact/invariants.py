@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd
+from math import factorial, lcm
 from operator import mul
 
 from .arith import divisors, primes_up_to
 from .matrices import Matrix, charpoly, kernel_q, poly_invariant_factors, rank_q
 from .modp import RAMIFIED, ddf_signature
-from .polynomials import Poly, cyclotomic, cyclotomic_divisor, format_poly
+from .polynomials import Poly, cyclotomic_split, format_poly
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +69,10 @@ def torsion_order(m: Matrix) -> int | None:
         raise ValueError("square matrix required")
     if m.det() == 0:
         raise ValueError("torsion order of a singular matrix")
-    rest = charpoly(m)
-    order = 1
-    while rest.degree >= 1:
-        k = cyclotomic_divisor(rest)
-        if k is None:
-            return None
-        rest = rest // cyclotomic(k)
-        order = order * k // gcd(order, k)
+    split = cyclotomic_split(charpoly(m))
+    if split.cofactor.degree >= 1:
+        return None
+    order = lcm(*split.orders)
     return order if m**order == Matrix.identity(m.rows) else None
 
 
@@ -309,9 +305,9 @@ def irreducibility_screen(f: Poly) -> tuple[bool, str]:
         for root in (d, -d):
             if f(root) == 0:
                 return False, f"rational root {root}"
-    k = cyclotomic_divisor(f)
-    if k is not None and cyclotomic(k) != f:
-        return False, f"cyclotomic factor of order {k}"
+    split = cyclotomic_split(f)
+    if split.orders and (len(split.orders) > 1 or split.cofactor.degree >= 1):
+        return False, f"cyclotomic factor of order {split.least_order}"
     if f.degree <= 3:
         return True, "degree <= 3 with no rational root"
     return True, "screened only (degree > 3): irreducibility is caller-asserted"

@@ -450,13 +450,6 @@ def charpoly(m: Matrix) -> Poly:
     return reduce(mul, poly_invariant_factors(m))
 
 
-def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
-    out = Matrix.zero(m.rows, m.cols)
-    for c in reversed(p.coeffs):
-        out = out * m + Matrix.identity(m.rows) * c
-    return out
-
-
 def poly_invariant_factors(m: Matrix) -> list[Poly]:
     """Invariant factors of z*I - M over Q[z]: monic, each dividing the next;
     the complete conjugacy invariant over Q.

@@ -8,6 +8,7 @@ every operation is exact.  Floats are rejected outright.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -236,14 +237,67 @@ def cyclotomic_indices(max_phi: int) -> list[int]:
     return [k for k in range(1, 2 * max_phi * max_phi + 1) if euler_phi(k) <= max_phi]
 
 
-def cyclotomic_divisor(f: Poly) -> int | None:
-    """The smallest k with Phi_k | f, or None.
+@dataclass(frozen=True)
+class CyclotomicSplit:
+    """poly = Phi_{k_1} * Phi_{k_2} * ... * cofactor, with the orders
+    k_1 <= k_2 <= ... listed with multiplicity and no Phi_k dividing the
+    cofactor."""
+
+    poly: Poly
+    orders: tuple[int, ...]
+    cofactor: Poly
+
+    @property
+    def least_order(self) -> int | None:
+        """The smallest k with Phi_k | poly, or None."""
+        return self.orders[0] if self.orders else None
+
+
+def cyclotomic_split(f: Poly) -> CyclotomicSplit:
+    """Split every cyclotomic factor off f.
 
     Complete: Phi_k has degree phi(k), so only k with phi(k) <= deg f can
     divide f.  Since Phi_k is irreducible over Q, Phi_k | f exactly when f
     has a primitive k-th root of unity as a root.
     """
-    return next(
-        (k for k in cyclotomic_indices(max(f.degree, 1)) if cyclotomic(k).divides(f)),
-        None,
-    )
+    if f.is_zero():
+        raise ValueError("cyclotomic split of the zero polynomial")
+    orders = []
+    rest = f
+    for k in cyclotomic_indices(max(f.degree, 1)):
+        phi = cyclotomic(k)
+        while phi.degree <= rest.degree:
+            quot, rem = divmod(rest, phi)
+            if not rem.is_zero():
+                break
+            orders.append(k)
+            rest = quot
+    return CyclotomicSplit(f, tuple(orders), rest)
+
+
+UNIT_FACTOR_CAVEAT = (
+    "an 'exact' verdict additionally assumes the characteristic polynomial has no "
+    "degree>=2 factor with constant term ±1 beyond the tested cyclotomics; a full "
+    "factor search is out of scope"
+)
+
+
+def unit_factor_exactness(split: CyclotomicSplit, exact_basis: str) -> tuple[str, str, str | None]:
+    """(verdict, basis, caveat) of the exactness rule for one injective
+    generator whose characteristic polynomial is split.poly.
+
+    A unit constant term makes the generator an automorphism, and a
+    cyclotomic factor certifies an invariant subgroup on which it acts by
+    automorphisms; either way the action is not exact.  Otherwise it is
+    reported exact on exact_basis, under the caveat that no other factor has
+    constant term ±1.
+    """
+    c0 = split.poly[0]
+    if c0 == 0:
+        raise ValueError("the generator is singular: its characteristic polynomial vanishes at 0")
+    if abs(c0) == 1:
+        return "not_exact", "the generator is an automorphism", None
+    if split.orders:
+        basis = f"cyclotomic factor of order {split.orders[0]} certifies an invariant subgroup acted on by automorphisms"
+        return "not_exact", basis, None
+    return "exact", exact_basis, UNIT_FACTOR_CAVEAT

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import prime_factors
-from .matrices import Matrix, charpoly, kernel_q
-from .polynomials import Poly, cyclotomic_divisor, format_poly, _scalar
+from .matrices import Matrix, charpoly
+from .polynomials import Poly, cyclotomic_split, format_poly, unit_factor_exactness, _scalar
 
 DEGREVLEX = "degrevlex"
 LEX = "lex"
@@ -499,7 +499,7 @@ class IdealConditionsReport:
     c_witness: str | None
     c_search_bound: int | None
     c_holds: bool | None
-    norms: dict[str, int] | None
+    norms: dict[str, int | str] | None  # a non-integral norm as its exact string, e.g. '9/4'
     d_witness_primes: dict[str, int] | None
     d_holds: bool | None
     d_note: str | None
@@ -520,8 +520,8 @@ def commalg_conditions(
     (a) finite quotient and no variable lies in the ideal; (b) every variable
     acts injectively (nonzero determinant); (c) some monomial f has id - f
     injective, searched by total degree; (d) each variable's norm has a prime
-    the others miss.  Condition (d) may come back inconclusive when a norm
-    resists trial division.
+    the others miss.  Condition (d) comes back inconclusive when a norm is
+    not an integer or resists trial division.
     """
     names = list(names)
     nvars = len(names)
@@ -544,7 +544,7 @@ def commalg_conditions(
     for i, name in enumerate(names):
         chi, norm = qa.char_poly_and_norm(MPoly.variable(nvars, i))
         injective[name] = norm != 0
-        norms[name] = int(norm)
+        norms[name] = norm if isinstance(norm, int) else str(norm)
         chis[name] = format_poly(chi)
     b_holds = all(injective.values())
     bound = 2 * qa.dimension
@@ -565,16 +565,21 @@ def commalg_conditions(
     d_note = None
     d_holds: bool | None = True
     factored = {}
-    for name in names:
-        factors, rest = prime_factors(norms[name], bound=factor_bound) if norms[name] else ({}, 0)
-        if norms[name] == 0:
-            factored[name] = {}
-            continue
-        if rest != 1:
-            d_holds = None
-            d_note = f"unfactored norm: N({name}) = {norms[name]} resists trial division"
-            break
-        factored[name] = factors
+    fractional = [name for name in names if isinstance(norms[name], str)]
+    if fractional:
+        d_holds = None
+        d_note = f"non-integral norm: N({fractional[0]}) = {norms[fractional[0]]} has no prime factorization"
+    else:
+        for name in names:
+            if norms[name] == 0:
+                factored[name] = {}
+                continue
+            factors, rest = prime_factors(norms[name], bound=factor_bound)
+            if rest != 1:
+                d_holds = None
+                d_note = f"unfactored norm: N({name}) = {norms[name]} resists trial division"
+                break
+            factored[name] = factors
     if d_holds is not None:
         for name in names:
             others = [factored[o] for o in names if o != name]
@@ -630,57 +635,30 @@ class PrincipalReport:
         return self.verdict == "exact"
 
 
-_PRINCIPAL_CAVEAT = (
-    "an 'exact' verdict additionally assumes no degree>=2 factor with constant "
-    "term ±1 beyond the tested cyclotomics; a full factor search is out of scope"
-)
-
-
 def principal_exactness(f: Poly) -> PrincipalReport:
     """Exactness verdict for the shift action on Z[u]/(f), f monic.
 
-    A factor with unit constant term makes the shift invertible on a full
-    sublattice, which kills exactness; cyclotomic factors and a unit constant
-    term of f itself are the detectable cases.  The standing checks of the
-    principal example class (monic, non-constant, |f(0)| > 1, f(1) != 0) are
-    reported alongside.
+    The shift is the companion of f, so `unit_factor_exactness` on the
+    cyclotomic split of f decides, with the companion-case theorem as the
+    basis of an exact verdict.  The standing checks of the principal example
+    class (monic, non-constant, |f(0)| > 1, f(1) != 0) are reported
+    alongside.  f(0) = 0 makes the shift non-injective and raises.
     """
     if not f.is_monic() or not f.is_integral():
         raise ValueError("monic integer polynomial required")
-    non_constant = f.degree >= 1
-    c0 = int(f[0]) if non_constant else 0
-    cyc = cyclotomic_divisor(f)
-    if not non_constant:
+    if f.degree < 1:
         raise ValueError("non-constant polynomial required")
-    if abs(c0) <= 1:
-        verdict, basis, caveat = (
-            "not_exact",
-            "the constant term is a unit, so the shift is an automorphism and the family is trivial",
-            None,
-        )
-    elif cyc is not None:
-        verdict, basis, caveat = (
-            "not_exact",
-            f"cyclotomic factor of order {cyc} is a unit-constant divisor",
-            None,
-        )
-    else:
-        verdict, basis, caveat = "exact", "no unit-constant divisor detected", _PRINCIPAL_CAVEAT
+    split = cyclotomic_split(f)
+    verdict, basis, caveat = unit_factor_exactness(split, "companion-case theorem")
     return PrincipalReport(
         format_poly(f),
-        non_constant,
         True,
-        c0,
-        abs(c0) > 1,
+        True,
+        f[0],
+        abs(f[0]) > 1,
         f(1) != 0,
-        cyc,
+        split.least_order,
         verdict,
         basis,
         caveat,
     )
-
-
-def kernel_of_one_minus(qa: QuotientAlgebra, f: MPoly) -> int:
-    """dim ker(1 - T_f): zero exactly when multiplication by 1 - f is
-    injective on the quotient."""
-    return len(kernel_q(Matrix.identity(qa.dimension) - qa.mult_matrix(f)))

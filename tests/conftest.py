@@ -41,6 +41,14 @@ def companion(*coeffs) -> Matrix:
     return Matrix.companion(Poly(coeffs))
 
 
+def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
+    """p(M) by Horner's rule: the Cayley-Hamilton oracle for charpoly."""
+    out = Matrix.zero(m.rows, m.cols)
+    for c in reversed(p.coeffs):
+        out = out * m + Matrix.identity(m.rows) * c
+    return out
+
+
 def block_diagonal(*blocks: Matrix) -> Matrix:
     n = sum(b.rows for b in blocks)
     rows = [[0] * n for _ in range(n)]

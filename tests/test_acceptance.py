@@ -8,8 +8,8 @@ import random
 import time
 
 from algact import cli
-from algact.actions import AlgebraicAction, Word, constructible_family, check_condition_F, has_root_of_unity_eigenvalue, index_set
-from algact.groupoid import denominator_support, denominator_support_bound, verify_word_identity
+from algact.actions import AlgebraicAction, Word, constructible_family, check_condition_F, has_root_of_unity_eigenvalue, index_primes, index_set
+from algact.groupoid import denominator_support, verify_word_identity
 from algact.invariants import UnipotentFamily, nilpotent_exp, q_conjugate, rank_bound_check
 from algact.lattices import Lattice, intersect, lattice_sum, preimage, quotient
 from algact.matrices import Matrix, hnf, snf
@@ -229,7 +229,7 @@ def test_criterion_8_denominator_support():
     start = time.monotonic()
     rng = random.Random(808)
     actions = [(name, factory()) for name, factory in EXAMPLE_ACTIONS.items()]
-    allowed = {name: denominator_support_bound(action, depth=1) for name, action in actions}
+    allowed = {name: index_primes(action, depth=1) for name, action in actions}
     checked = 0
     while checked < 500:
         name, action = actions[rng.randrange(len(actions))]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from algact import actions, cli, matrices, polyring
+from algact import actions, cli, matrices, polynomials, polyring
 from algact.invariants import (
     UnipotentFamily,
     rank_bound_check,
@@ -223,6 +223,18 @@ def test_analyze_computes_one_charpoly_per_generator(tmp_path, capsys, monkeypat
     assert calls == list(action.matrices)
 
 
+@pytest.mark.parametrize("preset", sorted(EXAMPLE_ACTIONS))
+def test_analyze_splits_each_charpoly_once(tmp_path, capsys, monkeypatch, preset):
+    # mixing, condition F and the exactness criterion read one cyclotomic
+    # split per generator.
+    action = EXAMPLE_ACTIONS[preset]()
+    doc = action_doc(action.n, [m.flat() for m in action.matrices], action.monoid_kind, list(action.names))
+    splits = count_calls(monkeypatch, polynomials.cyclotomic_split)
+    code, _, _ = run_cli(capsys, ["analyze", write(tmp_path, "a.json", doc), "--json"])
+    assert code == 0
+    assert splits == [matrices.charpoly(m) for m in action.matrices]
+
+
 def test_compare_ring_mode(tmp_path, capsys):
     f = write(tmp_path, "f.json", {"schema": 1, "poly": "z^2+1"})
     g = write(tmp_path, "g.json", {"schema": 1, "poly": "z^2-2"})
@@ -276,6 +288,24 @@ def test_compare_poly_inconclusive_when_conditions_fail(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["compare", a, b, "--mode", "poly", "--json"])
     assert code == 0
     assert json.loads(out)["status"] == "inconclusive"
+
+
+def test_non_integral_norm_leaves_d_undecided(tmp_path, capsys):
+    # N(u) = 9/4: (d) asks for primes of integral norms, so it stays open,
+    # and the norm is reported exactly instead of truncated to 2.
+    a = write(tmp_path, "i1.json", {"schema": 1, "vars": ["u", "v"], "gens": ["4*u^2 - 9", "v - 5"]})
+    b = write(tmp_path, "i2.json", {"schema": 1, "vars": ["u", "v"], "gens": ["u - 2", "v - 3"]})
+    code, out, _ = run_cli(capsys, ["polyideal", a, "--json"])
+    assert code == 0
+    cond = json.loads(out)["conditions"]
+    assert cond["norms"] == {"u": "9/4", "v": 25}
+    assert cond["d_holds"] is None and cond["d_witness_primes"] is None
+    assert "N(u) = 9/4" in cond["d_note"]
+    code, out, _ = run_cli(capsys, ["compare", a, b, "--mode", "poly", "--json"])
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["status"] == "inconclusive"
+    assert verdict["hypotheses"]["first"]["d"] is None
 
 
 def test_compare_mode_input_mismatch(tmp_path, capsys):

@@ -4,11 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algact.actions import AlgebraicAction, Word
+from algact.actions import AlgebraicAction, Word, index_primes
 from algact.groupoid import (
     SemidirectElem,
     denominator_support,
-    denominator_support_bound,
     level_map,
     translation_orbit,
     verify_group_relation,
@@ -215,7 +214,7 @@ def test_denominator_support_contained_in_index_primes(rng):
     local = random.Random(17)
     for name, factory in EXAMPLE_ACTIONS.items():
         action = factory()
-        allowed = denominator_support_bound(action, depth=1)
+        allowed = index_primes(action, depth=1)
         num = len(action.gens)
         for _ in range(60):
             length = local.randint(1, 4)

@@ -12,13 +12,12 @@ from algact.matrices import (
     is_companion,
     kernel_q,
     left_kernel_int,
-    poly_eval_matrix,
     poly_invariant_factors,
     snf,
 )
 from algact.polynomials import Poly
 
-from conftest import random_int_matrix, random_unimodular
+from conftest import poly_eval_matrix, random_int_matrix, random_unimodular
 from test_charpoly_reference import faddeev_leverrier
 
 

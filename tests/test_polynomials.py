@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from algact.matrices import charpoly
-from algact.polynomials import Poly, cyclotomic, cyclotomic_divisor, cyclotomic_indices, format_poly
+from algact.polynomials import Poly, cyclotomic, cyclotomic_indices, cyclotomic_split, format_poly
 from algact.arith import divisors, euler_phi
 from algact.presets import EXAMPLE_ACTIONS
 
@@ -88,7 +88,7 @@ def test_cyclotomic_indices_complete():
 
 
 def gcd_scan_cyclotomic_divisor(f: Poly) -> int | None:
-    """Reference: the gcd scan that cyclotomic_divisor replaced."""
+    """Reference: the least order k with Phi_k | f, by a gcd scan."""
     for k in cyclotomic_indices(max(f.degree, 1)):
         if f.gcd(cyclotomic(k)).degree >= 1:
             return k
@@ -103,9 +103,31 @@ def test_cyclotomic_divisor_matches_gcd_scan(rng):
             f = f * cyclotomic(k)
         polys.append(f)
     for f in polys:
-        assert cyclotomic_divisor(f) == gcd_scan_cyclotomic_divisor(f), f
-    assert cyclotomic_divisor(Poly((1, 0, 1)) * Poly((-2, 1))) == 4
-    assert cyclotomic_divisor(Poly((-2, 0, 1))) is None
+        assert cyclotomic_split(f).least_order == gcd_scan_cyclotomic_divisor(f), f
+    assert cyclotomic_split(Poly((1, 0, 1)) * Poly((-2, 1))).least_order == 4
+    assert cyclotomic_split(Poly((-2, 0, 1))).least_order is None
+
+
+def test_cyclotomic_split_factors_f(rng):
+    for _ in range(100):
+        g = Poly([rng.randint(-5, 5) for _ in range(rng.randint(0, 5))] + [rng.choice((-2, 1, 3))])
+        orders = sorted(rng.choice((1, 2, 3, 4, 5, 6, 8, 12)) for _ in range(rng.randint(0, 3)))
+        f = g
+        for k in orders:
+            f = f * cyclotomic(k)
+        split = cyclotomic_split(f)
+        product = split.cofactor
+        for k in split.orders:
+            product = product * cyclotomic(k)
+        assert split.poly == f and product == f, f
+        assert list(split.orders) == sorted(split.orders)
+        assert gcd_scan_cyclotomic_divisor(split.cofactor) is None, f
+        # every chosen factor is found, with its multiplicity
+        assert all(split.orders.count(k) >= orders.count(k) for k in orders), f
+    split = cyclotomic_split(cyclotomic(3) ** 2 * cyclotomic(1) * Poly((5, 1)))
+    assert split.orders == (1, 3, 3) and split.cofactor == Poly((5, 1))
+    with pytest.raises(ValueError):
+        cyclotomic_split(Poly())
 
 
 def test_format_poly():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from algact import cli
-from algact.matrices import Matrix
+from algact.matrices import Matrix, kernel_q
 from algact.polynomials import Poly
 from algact.polyring import (
     DEGREVLEX,
@@ -15,7 +15,6 @@ from algact.polyring import (
     buchberger,
     commalg_conditions,
     is_zero_dimensional,
-    kernel_of_one_minus,
     mpoly_to_poly,
     normal_form,
     order_key,
@@ -23,6 +22,8 @@ from algact.polyring import (
     principal_exactness,
     quotient_algebra,
 )
+
+from conftest import poly_eval_matrix
 
 
 def P(text, names):
@@ -245,8 +246,6 @@ def test_multiplication_matrices_commute(rng):
 
 
 def test_char_poly_annihilates_and_degree(rng):
-    from algact.matrices import poly_eval_matrix
-
     names = ["u", "v"]
     qa = quotient_algebra(buchberger([P("u^2-2", names), P("v^2-3", names)]), 2)
     for text in ("u", "v", "u*v", "u+v", "u^2*v - 3"):
@@ -281,7 +280,8 @@ def test_injectivity_matches_kernel():
     for text in ("u", "u*v", "u+v-1"):
         f = P(text, names)
         det = (Matrix.identity(qa.dimension) - qa.mult_matrix(f)).det()
-        assert (det != 0) == (kernel_of_one_minus(qa, f) == 0)
+        kernel = kernel_q(Matrix.identity(qa.dimension) - qa.mult_matrix(f))
+        assert (det != 0) == (kernel == [])
 
 
 def test_principal_companion_identity(rng):
@@ -374,3 +374,11 @@ def test_principal_exactness_agrees_with_action_pipeline():
 def test_principal_exactness_rejects_non_monic():
     with pytest.raises(ValueError):
         principal_exactness(Poly((1, 2)))
+
+
+@pytest.mark.parametrize("coeffs", [(0, 1), (0, 0, 1), (0, 1, 1)], ids=["z", "z^2", "z^2 + z"])
+def test_principal_exactness_rejects_zero_constant_term(coeffs):
+    # f(0) = 0: the shift on Z[u]/(f) is not injective, so there is no
+    # action to call exact or not.
+    with pytest.raises(ValueError, match="singular"):
+        principal_exactness(Poly(coeffs))
