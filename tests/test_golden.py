@@ -37,8 +37,9 @@ def _action_doc(action) -> dict:
     return _action(action.n, [m.flat() for m in action.matrices], action.names, action.monoid_kind)
 
 
-def _ideal(names, gens) -> dict:
-    return {"schema": 1, "vars": names, "gens": gens}
+def _ideal(names, gens, order=None) -> dict:
+    doc = {"schema": 1, "vars": names, "gens": gens}
+    return doc if order is None else {**doc, "order": order}
 
 
 def _poly(text) -> dict:
@@ -80,6 +81,17 @@ CASES = {
     "polyideal_two_square_roots": ("polyideal", [_ideal(["u", "v"], ["u^2-2", "v^2-3"])], []),
     "polyideal_golden_ratio": ("polyideal", [_ideal(["u"], ["u^2-u-1"])], []),
     "polyideal_positive_dimensional": ("polyideal", [_ideal(["u", "v"], ["u*v"])], []),
+    # the (c) witness u*v only appears at degree 2
+    "polyideal_degree2_witness": ("polyideal", [_ideal(["u", "v"], ["u+v-3", "u^2-3*u+2"])], []),
+    # (c) fails: the search runs through every monomial up to degree 8
+    "polyideal_no_c_witness": ("polyideal", [_ideal(["u", "v"], ["u^2-1", "v^2-1"])], []),
+    "polyideal_tower_lex": (
+        "polyideal",
+        [_ideal(["u", "v", "w"], ["u^2-2", "v^2-u", "w^2-v-1"], order="lex")],
+        [],
+    ),
+    # rational multiplication matrices: norms 9/4 and 1/18, (d) undecided
+    "polyideal_rational_norms": ("polyideal", [_ideal(["u", "v"], ["2*u^2-3", "3*v^2-u-1"])], []),
     "compare_toral_distinguished": ("compare", [TIMES2, TIMES3], ["--mode", "toral"]),
     "compare_toral_consistent": (
         "compare",
