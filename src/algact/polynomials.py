@@ -194,26 +194,24 @@ class Poly:
 
 def format_poly(p: Poly, var: str = "z") -> str:
     """Render a polynomial the way a human would write it, e.g. 'z^2 - z - 1'."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if i == 0:
-            body = str(mag)
+    return format_terms(
+        (p[i], "" if i == 0 else var if i == 1 else f"{var}^{i}") for i in range(p.degree, -1, -1) if p[i]
+    )
+
+
+def format_terms(terms) -> str:
+    """Render (coefficient, monomial text) pairs as a signed sum in the
+    given order, an empty text standing for the constant term; '0' when
+    there are none."""
+    text = ""
+    for c, body in terms:
+        mag = abs(c)
+        piece = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {piece}"
         else:
-            xpart = var if i == 1 else f"{var}^{i}"
-            body = xpart if mag == 1 else f"{mag}*{xpart}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+            text = "-" + piece if c < 0 else piece
+    return text or "0"
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,12 +227,13 @@ def cyclotomic(k: int) -> Poly:
     return f
 
 
-def cyclotomic_indices(max_phi: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def cyclotomic_indices(max_phi: int) -> tuple[int, ...]:
     """All k with euler_phi(k) <= max_phi.
 
     phi(k) >= sqrt(k/2), so k <= 2*max_phi^2 is a complete scan bound.
     """
-    return [k for k in range(1, 2 * max_phi * max_phi + 1) if euler_phi(k) <= max_phi]
+    return tuple(k for k in range(1, 2 * max_phi * max_phi + 1) if euler_phi(k) <= max_phi)
 
 
 @dataclass(frozen=True)

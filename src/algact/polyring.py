@@ -10,12 +10,12 @@ characteristic polynomials and determinants carry the arithmetic content.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import prime_factors
 from .matrices import Matrix, charpoly
-from .polynomials import Poly, cyclotomic_split, format_poly, unit_factor_exactness, _scalar
+from .polynomials import Poly, _scalar, cyclotomic_split, format_poly, format_terms, unit_factor_exactness
 
 DEGREVLEX = "degrevlex"
 LEX = "lex"
@@ -38,10 +38,12 @@ class MPoly:
     def __init__(self, nvars: int, terms=None):
         clean = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(exp)
+            if any(isinstance(e, bool) or not isinstance(e, int) for e in exp):
+                raise TypeError(f"integer exponents required, got {exp!r}")
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError("bad exponent vector")
-            c = _scalar(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
+            c = _scalar(coeff)
             if c:
                 clean[exp] = clean.get(exp, 0) + c
                 if not clean[exp]:
@@ -123,27 +125,11 @@ class MPoly:
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     def format(self, names) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda t: (-sum(t), tuple(-x for x in t))):
-            c = self.terms[e]
-            body = "*".join(
-                f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
-            )
-            mag = abs(c)
-            if not body:
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            parts.append(("-" if c < 0 else "+", piece))
-        sign, piece = parts[0]
-        text = ("-" if sign == "-" else "") + piece
-        for sign, piece in parts[1:]:
-            text += f" {sign} {piece}"
-        return text
+        order = sorted(self.terms, key=lambda t: (-sum(t), tuple(-x for x in t)))
+        return format_terms(
+            (self.terms[e], "*".join(f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k))
+            for e in order
+        )
 
     def __repr__(self):
         names = [f"u{i+1}" for i in range(self.nvars)]
@@ -388,15 +374,20 @@ def _autoreduce(basis, key):
     return reduced
 
 
+def _pure_powers(leads, nvars: int) -> list[int | None]:
+    """The staircase scan: for each variable, its least pure power among the
+    leading exponents, or None when it has none."""
+    return [
+        min((e[i] for e in leads if e[i] and not any(e[:i] + e[i + 1 :])), default=None)
+        for i in range(nvars)
+    ]
+
+
 def is_zero_dimensional(gb, nvars: int, order: str = DEGREVLEX) -> bool:
     """Staircase criterion: every variable has a pure power among the
     leading terms."""
     key = order_key(order)
-    leads = [g.leading(key)[0] for g in gb]
-    for i in range(nvars):
-        if not any(e[i] > 0 and all(e[j] == 0 for j in range(nvars) if j != i) for e in leads):
-            return False
-    return True
+    return None not in _pure_powers([g.leading(key)[0] for g in gb], nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +404,12 @@ class QuotientAlgebra:
     order: str
     groebner_basis: list[MPoly]
     basis: list[tuple]
-    var_matrices: tuple[Matrix, ...]
+    var_matrices: tuple[Matrix, ...] = field(init=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {e: i for i, e in enumerate(self.basis)}
+        self.var_matrices = tuple(self._columns(MPoly.variable(self.nvars, i)) for i in range(self.nvars))
 
     @property
     def dimension(self) -> int:
@@ -423,25 +419,39 @@ class QuotientAlgebra:
         return normal_form(f, self.groebner_basis, order_key(self.order))
 
     def coords(self, f: MPoly) -> tuple:
-        nf = self.normal_form(f)
-        index = {e: i for i, e in enumerate(self.basis)}
         vec = [0] * len(self.basis)
-        for e, c in nf.terms.items():
-            vec[index[e]] = c
+        for e, c in self.normal_form(f).terms.items():
+            vec[self._index[e]] = c
         return tuple(vec)
 
+    def _columns(self, f: MPoly) -> Matrix:
+        # Column j holds the coordinates of f * b_j.
+        return Matrix(list(zip(*(self.coords(f * MPoly.monomial(self.nvars, b)) for b in self.basis))))
+
     def mult_matrix(self, f: MPoly) -> Matrix:
-        """Multiplication-by-f matrix, assembled by substituting the variable
-        matrices into f (they commute, so any evaluation order agrees)."""
-        n = self.dimension
-        out = Matrix.zero(n)
-        for exp, coeff in f.terms.items():
-            term = Matrix.identity(n)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * (self.var_matrices[i] ** e)
-            out = out + term * coeff
-        return out
+        """Multiplication-by-f matrix; a variable's is the stored one."""
+        if len(f.terms) == 1:
+            (exp, coeff), = f.terms.items()
+            if coeff == 1 and sum(exp) == 1:
+                return self.var_matrices[exp.index(1)]
+        return self._columns(f)
+
+    def monomial_matrices(self, max_degree: int):
+        """Yield (exponent, multiplication matrix) for every monomial of total
+        degree 1..max_degree, by degree and in product order within a degree.
+        Each matrix is one of the previous degree times one variable matrix,
+        and only the previous degree's matrices are kept."""
+        previous: dict = {}
+        for total in range(1, max_degree + 1):
+            current = {}
+            for exp in itertools.product(range(total + 1), repeat=self.nvars):
+                if sum(exp) != total:
+                    continue
+                i = next(j for j, e in enumerate(exp) if e)
+                x = self.var_matrices[i]
+                current[exp] = previous[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] * x if total > 1 else x
+                yield exp, current[exp]
+            previous = current
 
     def char_poly_and_norm(self, f: MPoly) -> tuple[Poly, int | Fraction]:
         """The characteristic polynomial chi of multiplication by f, and its
@@ -452,36 +462,17 @@ class QuotientAlgebra:
 
 def quotient_algebra(gb, nvars: int, order: str = DEGREVLEX) -> QuotientAlgebra:
     key = order_key(order)
-    if not is_zero_dimensional(gb, nvars, order):
-        raise ValueError("ideal is not zero-dimensional")
     leads = [g.leading(key)[0] for g in gb]
-    bounds = []
-    for i in range(nvars):
-        pure = min(
-            e[i]
-            for e in leads
-            if e[i] > 0 and all(e[j] == 0 for j in range(nvars) if j != i)
-        )
-        bounds.append(pure)
+    bounds = _pure_powers(leads, nvars)
+    if None in bounds:
+        raise ValueError("ideal is not zero-dimensional")
     staircase = [
         exp
         for exp in itertools.product(*(range(b) for b in bounds))
         if not any(_divides(le, exp) for le in leads)
     ]
     staircase.sort(key=key)
-    index = {e: i for i, e in enumerate(staircase)}
-    mats = []
-    for i in range(nvars):
-        cols = []
-        for e in staircase:
-            shifted = MPoly.monomial(nvars, tuple(x + (1 if j == i else 0) for j, x in enumerate(e)))
-            nf = normal_form(shifted, list(gb), key)
-            col = [0] * len(staircase)
-            for ee, c in nf.terms.items():
-                col[index[ee]] = c
-            cols.append(col)
-        mats.append(Matrix([[cols[j][i2] for j in range(len(staircase))] for i2 in range(len(staircase))]))
-    return QuotientAlgebra(nvars, order, list(gb), staircase, tuple(mats))
+    return QuotientAlgebra(nvars, order, list(gb), staircase)
 
 
 # ---------------------------------------------------------------------------
@@ -548,18 +539,15 @@ def commalg_conditions(
         chis[name] = format_poly(chi)
     b_holds = all(injective.values())
     bound = 2 * qa.dimension
-    c_witness = None
     ident = Matrix.identity(qa.dimension)
-    for total in range(1, bound + 1):
-        for exp in itertools.product(range(total + 1), repeat=nvars):
-            if sum(exp) != total:
-                continue
-            f = MPoly.monomial(nvars, exp)
-            if (ident - qa.mult_matrix(f)).det() != 0:
-                c_witness = f.format(names)
-                break
-        if c_witness:
-            break
+    c_witness = next(
+        (
+            MPoly.monomial(nvars, exp).format(names)
+            for exp, m in qa.monomial_matrices(bound)
+            if (ident - m).det() != 0
+        ),
+        None,
+    )
     c_holds = c_witness is not None
     d_witness: dict[str, int] = {}
     d_note = None

@@ -84,7 +84,19 @@ def test_cyclotomic_degree_is_phi():
 
 def test_cyclotomic_indices_complete():
     # phi(k) <= 2 exactly for k in {1, 2, 3, 4, 6}
-    assert cyclotomic_indices(2) == [1, 2, 3, 4, 6]
+    assert cyclotomic_indices(2) == (1, 2, 3, 4, 6)
+
+
+def test_cyclotomic_indices_are_computed_once_per_degree(monkeypatch):
+    from algact import polynomials
+
+    f = Poly((3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1))  # z^11 + 3
+    first = cyclotomic_split(f)
+    calls = []
+    monkeypatch.setattr(polynomials, "euler_phi", lambda k: calls.append(k) or euler_phi(k))
+    assert cyclotomic_split(f) == first
+    assert calls == []
+    assert isinstance(cyclotomic_indices(11), tuple)
 
 
 def gcd_scan_cyclotomic_divisor(f: Poly) -> int | None:

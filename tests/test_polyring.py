@@ -62,6 +62,30 @@ def test_parse_unicode_minus():
     assert P("u− 1", ["u"]).terms == {(1,): 1, (0,): -1}
 
 
+@pytest.mark.parametrize("coeff", [0.5, "1/3", True, None, 1.0])
+def test_mpoly_rejects_inexact_coefficients(coeff):
+    with pytest.raises(TypeError):
+        MPoly(1, {(1,): coeff})
+
+
+@pytest.mark.parametrize("exp", [(1.5,), ("2",), (True,), (1.0,), (Fraction(1),), (None,)])
+def test_mpoly_rejects_non_integer_exponents(exp):
+    with pytest.raises(TypeError):
+        MPoly(1, {exp: 1})
+
+
+@pytest.mark.parametrize("exp", [(-1,), (1, 0), ()])
+def test_mpoly_rejects_bad_exponent_vectors(exp):
+    with pytest.raises(ValueError):
+        MPoly(1, {exp: 1})
+
+
+def test_mpoly_normalizes_exact_input():
+    f = MPoly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 0})
+    assert f.terms == {(1, 0): 2, (0, 1): Fraction(1, 3)}
+    assert type(f.terms[(1, 0)]) is int
+
+
 def test_mpoly_to_poly():
     assert mpoly_to_poly(P("u^2-2", ["u"])) == Poly((-2, 0, 1))
     with pytest.raises(ValueError):
