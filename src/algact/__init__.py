@@ -2,7 +2,7 @@
 
 The package builds the desk-scale machinery of such actions: canonical
 lattice normal forms, constructible subgroup families, finite odometer
-levels with their partial arrows, and the conjugacy / splitting / rank
+levels with their partial arrows, and the conjugacy and splitting
 invariants whose disagreement certifies two systems as non-isomorphic.
 """
 
@@ -16,30 +16,9 @@ from .actions import (
     check_standing,
     constructible_family,
     exactness,
-    has_root_of_unity_eigenvalue,
-    index_primes,
-    index_set,
 )
-from .groupoid import (
-    SemidirectElem,
-    denominator_support,
-    level_map,
-    translation_orbit,
-    verify_group_relation,
-    verify_word_identity,
-)
-from .invariants import (
-    ConjugacyClass,
-    UnipotentFamily,
-    conjugacy_class,
-    nilpotent_exp,
-    q_conjugate,
-    rank_bound_check,
-    splitting_signature_distinguisher,
-    torsion_order,
-    unipotent_log,
-    unipotent_power_witness,
-)
+from .groupoid import SemidirectElem, level_map, translation_orbit, verify_word_identity
+from .invariants import ConjugacyClass, conjugacy_class, splitting_signature_distinguisher
 from .lattices import Lattice, QuotientLevel, image, intersect, lattice_sum, preimage, quotient
 from .matrices import Matrix, charpoly, hnf, poly_invariant_factors, snf
 from .modp import RAMIFIED, ddf_signature
@@ -52,7 +31,6 @@ from .polyring import (
     commalg_conditions,
     is_zero_dimensional,
     parse_poly,
-    principal_exactness,
     quotient_algebra,
 )
 

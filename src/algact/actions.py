@@ -4,7 +4,7 @@ An AlgebraicAction is a finite list of named injective integer matrices,
 acting as a free or free-abelian monoid.  The checkers in this module decide
 (or honestly report, where decision is out of reach) the standing properties
 a rigidity analysis needs: finite-index images, non-automorphy, bounded
-faithfulness, the constructible-subgroup family and its index set, torsion
+faithfulness, the constructible-subgroup family and its indices, torsion
 eigenvalues, fixed-point freeness of group words, determinant-injectivity,
 and exactness.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .arith import prime_factors
+from .arith import FACTOR_BOUND, prime_factors
 from .lattices import Lattice, image, intersect, preimage
 from .matrices import Matrix, charpoly, is_companion, right_kernel_int
 from .polynomials import CyclotomicSplit, cyclotomic_split, format_poly, unit_factor_exactness
@@ -296,31 +296,9 @@ def replay_derivation(family: ConstructibleFamily, lat: Lattice) -> Lattice:
     raise ValueError(f"unknown derivation {kind!r}")
 
 
-def index_set(action: AlgebraicAction, depth: int) -> set[int]:
-    return {lat.index() for lat in constructible_family(action, depth).lattices}
-
-
-def index_primes(action: AlgebraicAction, depth: int) -> set[int]:
-    primes: set[int] = set()
-    for idx in index_set(action, depth):
-        factors, rest = prime_factors(idx)
-        assert rest == 1
-        primes.update(factors)
-    return primes
-
-
 # ---------------------------------------------------------------------------
-# Eigenvalue / fixed-point checkers
+# Fixed-point checkers
 # ---------------------------------------------------------------------------
-
-
-def has_root_of_unity_eigenvalue(m: Matrix) -> tuple[bool, int | None]:
-    """Does M have an eigenvalue that is a root of unity?  Returns (flag, k)
-    with k the least such order: complete by `cyclotomic_split`."""
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    k = cyclotomic_split(charpoly(m)).least_order
-    return k is not None, k
 
 
 @dataclass
@@ -408,7 +386,7 @@ class SFReport:
         return self.status == "holds"
 
 
-def check_SF_via_det(action: AlgebraicAction, factor_bound: int = 10**6) -> SFReport:
+def check_SF_via_det(action: AlgebraicAction) -> SFReport:
     """Strong faithfulness via determinants: is k -> prod det(M_i)^{k_i}
     injective on Z^m?
 
@@ -422,7 +400,7 @@ def check_SF_via_det(action: AlgebraicAction, factor_bound: int = 10**6) -> SFRe
     exponents = []
     all_primes: list[int] = []
     for d in dets:
-        factors, rest = prime_factors(abs(d), bound=factor_bound)
+        factors, rest = prime_factors(abs(d), bound=FACTOR_BOUND)
         if rest != 1:
             return SFReport(
                 "inconclusive",

@@ -9,6 +9,10 @@ from math import isqrt
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# Trial-division bound for the determinants and norms whose primes decide
+# strong faithfulness and condition (d).
+FACTOR_BOUND = 10**6
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""

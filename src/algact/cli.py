@@ -704,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--mode", choices=("toral", "ring", "poly"), default="toral")
-    p.add_argument("--prime-bound", type=int, default=200)
+    p.add_argument("--prime-bound", type=_nonnegative, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)
 

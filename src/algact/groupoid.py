@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import AlgebraicAction, Word
-from .arith import prime_factors
 from .lattices import Lattice, QuotientLevel, image, lattice_sum, preimage, quotient
 from .matrices import Matrix, charpoly
 from .polynomials import _scalar
@@ -125,19 +124,14 @@ def level_map(action: AlgebraicAction, word: Word, level: Lattice) -> LevelMap:
     return LevelMap(word, mat, level, source, target, table, im_index)
 
 
-def translation_orbit(level: Lattice, start, translations=None) -> set[tuple]:
-    """Orbit of a coset under translations (default: the standard basis).
+def translation_orbit(level: Lattice, start) -> set[tuple]:
+    """Orbit of a coset under the standard-basis translations.
 
-    With the default generators this covers the whole level, which is the
-    finite-stage shadow of minimality; restricted generators trace orbits of
-    translation submonoids.
+    It covers the whole level, which is the finite-stage shadow of
+    minimality.
     """
     q = quotient(level)
-    if translations is None:
-        translations = [
-            tuple(1 if j == i else 0 for j in range(level.n)) for i in range(level.n)
-        ]
-    translations = [tuple(t) for t in translations]
+    translations = [tuple(1 if j == i else 0 for j in range(level.n)) for i in range(level.n)]
     start = q.reduce(tuple(start))
     seen = {start}
     frontier = [start]
@@ -251,37 +245,4 @@ def verify_word_identity(
         len(samples),
         witness,
     )
-
-
-def verify_group_relation(alpha: Matrix, gamma: Matrix, kappas) -> bool:
-    """Standalone check of gamma^d alpha^{kappa_d} = alpha^{kappa_0} gamma ...
-    alpha^{kappa_{d-1}} gamma on explicit matrices.
-
-    This is the group-side shadow of the word identity; the unipotent
-    pipeline feeds it conjugation data directly.
-    """
-    kappas = tuple(int(k) for k in kappas)
-    d = len(kappas) - 1
-    left = (gamma**d) * (alpha ** kappas[d])
-    right = Matrix.identity(alpha.rows)
-    for i in range(d):
-        right = right * (alpha ** kappas[i]) * gamma
-    return left == right
-
-
-def denominator_support(action: AlgebraicAction, word: Word, x) -> set[int]:
-    """Primes dividing the denominators of a group word applied to x.
-
-    The executable shadow of localization at the index set: this support is
-    always contained in the primes dividing constructible indices.
-    """
-    mat = word.evaluate(action, allow_inverses=True)
-    out = mat.apply(tuple(x))
-    primes: set[int] = set()
-    for v in out:
-        if isinstance(v, Fraction) and v.denominator > 1:
-            factors, rest = prime_factors(v.denominator)
-            assert rest == 1
-            primes.update(factors)
-    return primes
 

@@ -402,40 +402,6 @@ def right_kernel_int(m: Matrix) -> list[tuple[int, ...]]:
     return left_kernel_int(m.transpose())
 
 
-def kernel_q(m: Matrix) -> list[tuple]:
-    """Basis of the rational nullspace {x : M x = 0}."""
-    nrows, ncols = m.rows, m.cols
-    a = [[Fraction(x) for x in row] for row in m.entries()]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -a[ri][fc]
-        basis.append(tuple(_scalar(x) for x in vec))
-    return basis
-
-
-def rank_q(m: Matrix) -> int:
-    return m.cols - len(kernel_q(m))
-
-
 # --------------------------------------------------------------------------
 # Characteristic polynomial and conjugacy invariants
 # --------------------------------------------------------------------------

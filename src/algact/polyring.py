@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import prime_factors
+from .arith import FACTOR_BOUND, prime_factors
 from .matrices import Matrix, charpoly
-from .polynomials import Poly, _scalar, cyclotomic_split, format_poly, format_terms, unit_factor_exactness
+from .polynomials import Poly, _scalar, format_poly, format_terms
 
 DEGREVLEX = "degrevlex"
 LEX = "lex"
@@ -499,12 +499,7 @@ class IdealConditionsReport:
     groebner_basis: list[MPoly]  # the reduced basis the checks ran on; kept out of "conditions"
 
 
-def commalg_conditions(
-    gens,
-    names,
-    order: str = DEGREVLEX,
-    factor_bound: int = 10**6,
-) -> IdealConditionsReport:
+def commalg_conditions(gens, names, order: str = DEGREVLEX) -> IdealConditionsReport:
     """Check the four hypotheses that make a zero-dimensional ideal action a
     rigidity-ready system.
 
@@ -562,7 +557,7 @@ def commalg_conditions(
             if norms[name] == 0:
                 factored[name] = {}
                 continue
-            factors, rest = prime_factors(norms[name], bound=factor_bound)
+            factors, rest = prime_factors(norms[name], bound=FACTOR_BOUND)
             if rest != 1:
                 d_holds = None
                 d_note = f"unfactored norm: N({name}) = {norms[name]} resists trial division"
@@ -599,54 +594,3 @@ def commalg_conditions(
         gb,
     )
 
-
-# ---------------------------------------------------------------------------
-# Principal (single-variable) actions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PrincipalReport:
-    poly: str
-    non_constant: bool
-    monic: bool
-    constant_term: int
-    non_automorphic: bool  # |f(0)| > 1
-    mixing_f1_nonzero: bool  # f(1) != 0
-    cyclotomic_divisor: int | None
-    verdict: str  # "exact" | "not_exact"
-    basis: str
-    caveat: str | None
-
-    @property
-    def exact(self) -> bool:
-        return self.verdict == "exact"
-
-
-def principal_exactness(f: Poly) -> PrincipalReport:
-    """Exactness verdict for the shift action on Z[u]/(f), f monic.
-
-    The shift is the companion of f, so `unit_factor_exactness` on the
-    cyclotomic split of f decides, with the companion-case theorem as the
-    basis of an exact verdict.  The standing checks of the principal example
-    class (monic, non-constant, |f(0)| > 1, f(1) != 0) are reported
-    alongside.  f(0) = 0 makes the shift non-injective and raises.
-    """
-    if not f.is_monic() or not f.is_integral():
-        raise ValueError("monic integer polynomial required")
-    if f.degree < 1:
-        raise ValueError("non-constant polynomial required")
-    split = cyclotomic_split(f)
-    verdict, basis, caveat = unit_factor_exactness(split, "companion-case theorem")
-    return PrincipalReport(
-        format_poly(f),
-        True,
-        True,
-        f[0],
-        abs(f[0]) > 1,
-        f(1) != 0,
-        split.least_order,
-        verdict,
-        basis,
-        caveat,
-    )

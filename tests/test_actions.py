@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from algact import cli
 from algact.actions import (
     FREE,
     FREE_ABELIAN,
@@ -12,12 +13,11 @@ from algact.actions import (
     check_standing,
     constructible_family,
     exactness,
-    has_root_of_unity_eigenvalue,
-    index_set,
     replay_derivation,
 )
 from algact.lattices import Lattice
-from algact.matrices import Matrix
+from algact.matrices import Matrix, charpoly
+from algact.polynomials import cyclotomic_split
 from algact.presets import doubling, doubling_tripling, fibonacci
 
 from conftest import random_nonsingular
@@ -80,7 +80,6 @@ def test_family_doubling_depth3():
     fam = constructible_family(doubling(), 3)
     assert {lat.index() for lat in fam.lattices} == {1, 2, 4, 8}
     assert not fam.saturated
-    assert index_set(doubling(), 3) == {1, 2, 4, 8}
 
 
 def test_family_trivial_monoid():
@@ -88,7 +87,6 @@ def test_family_trivial_monoid():
     fam = constructible_family(triv, 3)
     assert fam.lattices == (Lattice.standard(2),)
     assert fam.saturated
-    assert index_set(triv, 3) == {1}
 
 
 def test_family_negative_depth():
@@ -158,16 +156,16 @@ def test_family_inclusion_divisibility():
 
 def test_index_set_scalar_matrix():
     a = AlgebraicAction(2, [("p", Matrix.diagonal([3, 3]))])
-    assert index_set(a, 1) == {1, 9}
+    assert cli.analyze_action(a, 1, 1)["family"]["index_set"] == [1, 9]
 
 
 # -- eigenvalue and word checkers -----------------------------------------------------
 
 
 def test_root_of_unity_known_cases():
-    assert has_root_of_unity_eigenvalue(Matrix([[0, -1], [1, 0]])) == (True, 4)
-    assert has_root_of_unity_eigenvalue(Matrix([[0, 1], [1, 1]])) == (False, None)
-    assert has_root_of_unity_eigenvalue(Matrix([[1, 1], [0, 1]])) == (True, 1)
+    assert cyclotomic_split(charpoly(Matrix([[0, -1], [1, 0]]))).least_order == 4
+    assert cyclotomic_split(charpoly(Matrix([[0, 1], [1, 1]]))).least_order is None
+    assert cyclotomic_split(charpoly(Matrix([[1, 1], [0, 1]]))).least_order == 1
 
 
 def test_condition_f_known_cases():
@@ -190,7 +188,7 @@ def test_condition_f_agrees_with_eigenvalue_test(rng):
     for _ in range(100):
         m = random_nonsingular(rng, 3, 3)
         action = AlgebraicAction(3, [("s", m)])
-        rou, _ = has_root_of_unity_eigenvalue(m)
+        rou = cyclotomic_split(charpoly(m)).least_order is not None
         rep = check_condition_F(action, word_bound=6)
         assert rep.holds_up_to_bound == (not rou)
 

@@ -8,12 +8,7 @@ from pathlib import Path
 import pytest
 
 from algact import actions, cli, matrices, polynomials, polyring
-from algact.invariants import (
-    UnipotentFamily,
-    rank_bound_check,
-    splitting_signature_distinguisher,
-    unipotent_power_witness,
-)
+from algact.invariants import splitting_signature_distinguisher
 from algact.matrices import Matrix
 from algact.polynomials import Poly
 from algact.presets import EXAMPLE_ACTIONS
@@ -528,30 +523,17 @@ def test_analyze_and_ring_build_one_family_each(tmp_path, capsys, monkeypatch):
 # -- report serialization -------------------------------------------------------------
 
 
-SHEAR = Matrix([[1, 1], [0, 1]])
-
-
 @pytest.mark.parametrize(
     "report,expected",
     [
-        (rank_bound_check(UnipotentFamily([SHEAR])), {"group_rank": 1, "bound": 2}),
-        (
-            unipotent_power_witness(SHEAR, 2, Matrix.diagonal([2, 1]), 2),
-            {"m": 3, "eta": [[0, 3], [0, 0]], "nilpotency_index": 2},
-        ),
         (
             splitting_signature_distinguisher(Poly((1, 0, 1)), Poly((-2, 0, 1)), 100),
             {"prime": 5, "signatures": [[1, 1], [2]], "irreducibility_notes": []},
         ),
-        (
-            polyring.principal_exactness(Poly((-2, 1))),
-            {"poly": "z - 2", "cyclotomic_divisor": None, "verdict": "exact"},
-        ),
     ],
-    ids=["RankBoundReport", "PowerWitnessReport", "SplittingVerdict", "PrincipalReport"],
+    ids=["SplittingVerdict"],
 )
 def test_report_json_roundtrip(report, expected):
-    # The four report types no subcommand emits go through the same serializer.
     data = cli._to_json(report)
     assert list(data) == [f.name for f in fields(report)]
     assert json.loads(json.dumps(data)) == data
@@ -569,13 +551,15 @@ def test_report_json_roundtrip(report, expected):
         ("groupoid", "--depth"),
         ("ring", "--depth"),
         ("ring", "--word-bound"),
+        ("compare", "--prime-bound"),
     ],
 )
 def test_negative_bound_is_rejected_by_the_parser(tmp_path, capsys, command, flag):
     path = write(tmp_path, "a.json", TIMES2)
+    files = [path, path] if command == "compare" else [path]
     extra = ["--level", "2"] if command == "groupoid" else []
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, path, flag, "-1", *extra])
+        cli.main([command, *files, flag, "-1", *extra])
     assert exc.value.code == 2
     assert "nonnegative" in capsys.readouterr().err
 

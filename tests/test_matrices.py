@@ -10,7 +10,6 @@ from algact.matrices import (
     charpoly,
     hnf,
     is_companion,
-    kernel_q,
     left_kernel_int,
     poly_invariant_factors,
     snf,
@@ -274,14 +273,6 @@ def test_left_kernel_int():
     assert len(basis) == 1
     u = basis[0]
     assert all(sum(u[i] * m[i, j] for i in range(3)) == 0 for j in range(2))
-
-
-def test_kernel_q():
-    m = Matrix([[1, 2, 3], [2, 4, 6]])
-    basis = kernel_q(m)
-    assert len(basis) == 2
-    for vec in basis:
-        assert m.apply(vec) == (0, 0)
 
 
 # -- characteristic polynomial -------------------------------------------------

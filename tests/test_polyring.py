@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from algact import cli
-from algact.matrices import Matrix, kernel_q
-from algact.polynomials import Poly
+from algact.actions import AlgebraicAction
+from algact.matrices import Matrix
+from algact.polynomials import Poly, cyclotomic_split, unit_factor_exactness
 from algact.polyring import (
     DEGREVLEX,
     LEX,
@@ -19,7 +20,6 @@ from algact.polyring import (
     normal_form,
     order_key,
     parse_poly,
-    principal_exactness,
     quotient_algebra,
 )
 
@@ -299,13 +299,14 @@ def test_mult_matrix_depends_on_residue_only():
 
 def test_injectivity_matches_kernel():
     # det(I - T_f) != 0 iff multiplication by 1 - f is injective
+    sympy = pytest.importorskip("sympy")
     names = ["u", "v"]
     qa = quotient_algebra(buchberger([P("u^2-2", names), P("v^2-3", names)]), 2)
     for text in ("u", "u*v", "u+v-1"):
         f = P(text, names)
-        det = (Matrix.identity(qa.dimension) - qa.mult_matrix(f)).det()
-        kernel = kernel_q(Matrix.identity(qa.dimension) - qa.mult_matrix(f))
-        assert (det != 0) == (kernel == [])
+        m = Matrix.identity(qa.dimension) - qa.mult_matrix(f)
+        kernel = sympy.Matrix(m.entries()).nullspace()
+        assert (m.det() != 0) == (kernel == [])
 
 
 def test_principal_companion_identity(rng):
@@ -365,39 +366,43 @@ def test_conditions_report_roundtrip():
 
 
 # -- principal exactness -----------------------------------------------------------------
+# The action on Z[u]/(f) is the shift by the companion of f, so its verdict is
+# the one `analyze` gives on that companion.
+
+
+def principal_analysis(f: Poly) -> dict:
+    return cli.analyze_action(AlgebraicAction(f.degree, [("s", Matrix.companion(f))]), 3, 2)
 
 
 def test_principal_exactness_known_cases():
-    rep = principal_exactness(Poly((-2, 1)))  # z - 2
-    assert rep.exact and rep.non_automorphic and rep.mixing_f1_nonzero
+    rep = principal_analysis(Poly((-2, 1)))  # z - 2
+    assert rep["exactness"]["verdict"] == "exact"
+    assert rep["standing"]["non_automorphic"] and rep["mixing"]["s"]["witness_order"] is None
 
-    rep2 = principal_exactness(Poly((2, -3, 1)))  # (z-1)(z-2)
-    assert rep2.verdict == "not_exact" and rep2.cyclotomic_divisor == 1
+    rep2 = principal_analysis(Poly((2, -3, 1)))  # (z-1)(z-2)
+    assert rep2["exactness"]["verdict"] == "not_exact"
+    assert rep2["exactness"]["criterion"]["cyclotomic_divisor"] == 1
 
     # z^2 - z - 1: no cyclotomic factor, but the constant term is a unit, so
     # the shift is an automorphism and the action cannot be exact.
-    rep3 = principal_exactness(Poly((-1, -1, 1)))
-    assert rep3.cyclotomic_divisor is None
-    assert not rep3.non_automorphic
-    assert rep3.mixing_f1_nonzero
-    assert rep3.verdict == "not_exact"
+    rep3 = principal_analysis(Poly((-1, -1, 1)))
+    assert rep3["mixing"]["s"]["witness_order"] is None
+    assert not rep3["standing"]["non_automorphic"]
+    assert rep3["exactness"]["verdict"] == "not_exact"
 
 
 def test_principal_exactness_agrees_with_action_pipeline():
-    # The matrix-side exactness verdict and the polynomial-side one agree on
-    # companion actions.
-    from algact.actions import AlgebraicAction, constructible_family, exactness
-
+    # The family-and-criterion verdict of the action agrees with the
+    # unit-factor rule read off f alone.
     for coeffs in [(-2, 1), (2, -3, 1), (-1, -1, 1), (-2, 0, 1), (3, -1, 1)]:
         f = Poly(coeffs)
-        action = AlgebraicAction(f.degree, [("s", Matrix.companion(f))])
-        verdict = exactness(constructible_family(action, 3)).verdict
-        assert (verdict == "exact") == principal_exactness(f).exact
+        verdict, _, _ = unit_factor_exactness(cyclotomic_split(f), "companion-case theorem")
+        assert principal_analysis(f)["exactness"]["verdict"] == verdict
 
 
 def test_principal_exactness_rejects_non_monic():
-    with pytest.raises(ValueError):
-        principal_exactness(Poly((1, 2)))
+    with pytest.raises(ValueError, match="monic"):
+        principal_analysis(Poly((1, 2)))
 
 
 @pytest.mark.parametrize("coeffs", [(0, 1), (0, 0, 1), (0, 1, 1)], ids=["z", "z^2", "z^2 + z"])
@@ -405,4 +410,4 @@ def test_principal_exactness_rejects_zero_constant_term(coeffs):
     # f(0) = 0: the shift on Z[u]/(f) is not injective, so there is no
     # action to call exact or not.
     with pytest.raises(ValueError, match="singular"):
-        principal_exactness(Poly(coeffs))
+        principal_analysis(Poly(coeffs))

@@ -1,33 +1,26 @@
 """Differential tests for `polynomials.cyclotomic_split` and the one
 exactness rule `polynomials.unit_factor_exactness`.
 
-The split replaced four separate readings of the characteristic polynomial:
+The split replaced separate readings of the characteristic polynomial:
 `cyclotomic_divisor` (the least k with Phi_k | f), the single-generator
-criterion of `actions.exactness`, its copy in `polyring.principal_exactness`
-and the Phi_k-stripping loop of `invariants.torsion_order`.  Those are kept
-here as references and compared with the new code on every monic integer
-polynomial of degree 1-4 with coefficients in [-2, 2], and on the companion
-matrices of those polynomials, plain and conjugated by unimodular matrices.
+criterion of `actions.exactness` and the principal-action verdict on
+Z[u]/(f).  Those are kept here as references and compared with the verdicts
+`analyze` gives, on every monic integer polynomial of degree 1-4 with
+coefficients in [-2, 2], and on the companion matrices of those
+polynomials, plain and conjugated by unimodular matrices.
 """
 
 import functools
 import itertools
 import random
-from math import gcd
 
 import pytest
 
-from algact.actions import (
-    AlgebraicAction,
-    ConstructibleFamily,
-    exactness,
-    has_root_of_unity_eigenvalue,
-)
-from algact.invariants import torsion_order
+from algact import cli
+from algact.actions import AlgebraicAction, ConstructibleFamily, exactness
 from algact.lattices import Lattice
 from algact.matrices import Matrix, charpoly, is_companion
 from algact.polynomials import Poly, cyclotomic, cyclotomic_indices, cyclotomic_split, format_poly
-from algact.polyring import principal_exactness
 
 from conftest import conjugate
 
@@ -74,25 +67,12 @@ def reference_exactness_criterion(mat: Matrix, chi: Poly) -> tuple:
 
 def reference_principal(f: Poly) -> tuple:
     """(verdict, cyclotomic_divisor, non_automorphic, mixing_f1_nonzero) of
-    the old `principal_exactness`; its basis and caveat wording differed
-    from `exactness` and now follow it."""
+    the old principal-action verdict on Z[u]/(f), whose shift is the
+    companion of f."""
     c0 = f[0]
     cyc = reference_cyclotomic_divisor(f)
     verdict = "not_exact" if abs(c0) <= 1 or cyc is not None else "exact"
     return verdict, cyc, abs(c0) > 1, f(1) != 0
-
-
-def reference_torsion_order(m: Matrix) -> int | None:
-    """The old Phi_k-stripping loop of `torsion_order`."""
-    rest = charpoly(m)
-    order = 1
-    while rest.degree >= 1:
-        k = reference_cyclotomic_divisor(rest)
-        if k is None:
-            return None
-        rest = rest // cyclotomic(k)
-        order = order * k // gcd(order, k)
-    return order if m**order == Matrix.identity(m.rows) else None
 
 
 @functools.cache
@@ -121,17 +101,21 @@ def test_least_order_matches_cyclotomic_divisor():
 
 
 def test_principal_exactness_matches_reference():
+    # f(0) = 0 makes the shift singular: there is no action to analyze.
     for f in POLYS:
         if f[0] == 0:
-            with pytest.raises(ValueError):
-                principal_exactness(f)
+            with pytest.raises(ValueError, match="singular"):
+                AlgebraicAction(f.degree, [("s", Matrix.companion(f))])
             continue
-        rep = principal_exactness(f)
-        got = (rep.verdict, rep.cyclotomic_divisor, rep.non_automorphic, rep.mixing_f1_nonzero)
+        report = cli.analyze_action(AlgebraicAction(f.degree, [("s", Matrix.companion(f))]), 1, 1)
+        exact = report["exactness"]
+        least = report["mixing"]["s"]["witness_order"]
+        got = (exact["verdict"], least, report["standing"]["non_automorphic"], least != 1)
         assert got == reference_principal(f), f
-        # basis and caveat now read as the exactness criterion of the shift
-        _, _, basis, _, caveat = reference_exactness_criterion(Matrix.companion(f), f)
-        assert (rep.basis, rep.caveat) == (basis, caveat), f
+        if not exact["family_saturated"]:
+            # basis and caveat read as the exactness criterion of the shift
+            _, _, basis, _, caveat = reference_exactness_criterion(Matrix.companion(f), f)
+            assert (exact["basis"], exact["caveat"]) == (basis, caveat), f
 
 
 def test_exactness_criterion_matches_reference():
@@ -152,12 +136,10 @@ def test_exactness_criterion_matches_reference():
     }
 
 
-def test_torsion_and_root_of_unity_match_reference():
+def test_root_of_unity_matches_reference():
     orders = set()
     for m in companion_matrices():
-        order = torsion_order(m)
-        assert order == reference_torsion_order(m), m
-        orders.add(order)
-        k = reference_cyclotomic_divisor(charpoly(m))
-        assert has_root_of_unity_eigenvalue(m) == (k is not None, k), m
-    assert {None, 1, 2, 3, 4, 6, 8, 12} <= orders
+        k = cyclotomic_split(charpoly(m)).least_order
+        assert k == reference_cyclotomic_divisor(charpoly(m)), m
+        orders.add(k)
+    assert {None, 1, 2, 3, 4, 5, 6, 8, 10, 12} <= orders

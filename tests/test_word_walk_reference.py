@@ -21,9 +21,9 @@ from algact.actions import (
     Word,
     check_condition_F,
     check_standing,
-    has_root_of_unity_eigenvalue,
 )
-from algact.matrices import Matrix
+from algact.matrices import Matrix, charpoly
+from algact.polynomials import cyclotomic_split
 from algact.presets import EXAMPLE_ACTIONS
 
 from conftest import random_nonsingular
@@ -94,10 +94,10 @@ def reference_condition_F(action, word_bound):
             break
     equivalence = None
     if len(action.gens) == 1:
-        rou, k = has_root_of_unity_eigenvalue(action.matrices[0])
+        k = cyclotomic_split(charpoly(action.matrices[0])).least_order
         equivalence = {
-            "no_root_of_unity_eigenvalue": not rou,
-            "holds_at_every_power": not rou,
+            "no_root_of_unity_eigenvalue": k is None,
+            "holds_at_every_power": k is None,
             "witness_order": k,
         }
     return ConditionFReport(failing is None, word_bound, failing, checked, equivalence)
