@@ -78,6 +78,18 @@ CASES = {
         [_action_doc(EXAMPLE_ACTIONS["doubling_tripling"]())],
         ["--level", "6"],
     ),
+    # two nontrivial Smith factors: Z^2/C is Z/4 x Z/16, 8 arrows
+    "groupoid_diag24_level4_16": (
+        "groupoid",
+        [_action(2, [[2, 0, 0, 4]], ["s"])],
+        ["--level=4,0,0,16", "--depth", "2"],
+    ),
+    # rank 3, factors (2, 2, 2): the companion of z^3-2 at level 2, 4 arrows
+    "groupoid_cube_root2_level2": (
+        "groupoid",
+        [_action(3, [[0, 0, 2, 1, 0, 0, 0, 1, 0]], ["s"])],
+        ["--level=2", "--depth", "3"],
+    ),
     "polyideal_two_square_roots": ("polyideal", [_ideal(["u", "v"], ["u^2-2", "v^2-3"])], []),
     "polyideal_golden_ratio": ("polyideal", [_ideal(["u"], ["u^2-u-1"])], []),
     "polyideal_positive_dimensional": ("polyideal", [_ideal(["u", "v"], ["u*v"])], []),
