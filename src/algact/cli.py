@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
@@ -31,7 +32,7 @@ from .actions import (
     exactness,
 )
 from .errors import InternalCheckError, SchemaError
-from .groupoid import level_map, translation_orbit, verify_word_identity
+from .groupoid import level_map, translation_orbit_size, verify_word_identity
 from .invariants import ConjugacyClass, conjugacy_class, splitting_signature_distinguisher
 from .lattices import Lattice
 from .matrices import Matrix, charpoly
@@ -472,19 +473,11 @@ def cmd_groupoid(args) -> int:
             "/level",
             f"lattice with index {level.index()} is not constructible at depth {args.depth}",
         )
-    maps_report = {}
-    for i, name in enumerate(action.names):
-        lm = level_map(action, Word.generator(i), level)
-        entries = [
-            {"source": list(src), "target": list(dst)} for src, dst in sorted(lm.table.items())
-        ]
-        maps_report[name] = {
-            "source_size": lm.source_size(),
-            "image_index": lm.image_index,
-            "entries": entries,
-        }
-    orbit = translation_orbit(level, (0,) * action.n)
-    orbit_covers = len(orbit) == level.index()
+    maps_report = {
+        name: _level_map_report(action, Word.generator(i), level)
+        for i, name in enumerate(action.names)
+    }
+    orbit_covers = translation_orbit_size(level) == level.index()
     identities = {}
     failures = []
     for i, name in enumerate(action.names):
@@ -521,6 +514,13 @@ def cmd_groupoid(args) -> int:
     return 0
 
 
+def _level_map_report(action, word, level) -> dict:
+    """One level map as report data (tuples, written as arrays); its table is freed on return."""
+    lm = level_map(action, word, level)
+    entries = [{"source": src, "target": dst} for src, dst in sorted(lm.table.items())]
+    return {"source_size": lm.source_size(), "image_index": lm.image_index, "entries": entries}
+
+
 def _render_groupoid(report: dict) -> list[str]:
     lines = [
         f"level: basis rows {report['level']['basis']}, index {report['level']['index']}"
@@ -530,7 +530,7 @@ def _render_groupoid(report: dict) -> list[str]:
             f"level map [{name}]: {lm['source_size']} arrows, image index {lm['image_index']}"
         )
         for entry in lm["entries"]:
-            lines.append(f"    {entry['source']} -> {entry['target']}")
+            lines.append(f"    {list(entry['source'])} -> {list(entry['target'])}")
     lines.append(f"translation orbit covers level: {_yn(report['orbit_covers_level'])}")
     for name, rep in report["word_identities"].items():
         status = "ok" if (
@@ -670,14 +670,22 @@ def _to_json(value):
 
 def _emit(report: dict, as_json: bool, renderer) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        # The encoder's small chunks go out a few thousand at a time, so they
+        # never pile up into one list the size of the report.
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        for piece in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+            sys.stdout.write(piece)
+        print()
     else:
         for line in renderer(report):
             print(line)
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"nonnegative integer expected, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"nonnegative integer expected, got {value}")
     return value

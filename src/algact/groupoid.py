@@ -99,8 +99,8 @@ class LevelMap:
 def level_map(action: AlgebraicAction, word: Word, level: Lattice) -> LevelMap:
     """Materialize x + s^{-1}C  |->  s.x + C on canonical representatives.
 
-    The map is well defined and injective; its image has index
-    [Z^n : s Z^n + C] in the target, which the construction verifies.
+    The map is injective because s^{-1}C is the preimage of C; its image has
+    index [Z^n : s Z^n + C] in the target, which the construction verifies.
     """
     if not word.is_monoid_word() and not word.is_identity():
         raise ValueError("level maps are defined for monoid words")
@@ -109,40 +109,39 @@ def level_map(action: AlgebraicAction, word: Word, level: Lattice) -> LevelMap:
     mat = word.evaluate(action)
     source = quotient(preimage(mat, level))
     target = quotient(level)
-    table = {}
-    seen = set()
-    for rep in source.representatives():
-        out = target.reduce(mat.apply(rep))
-        key = tuple(rep)
-        if out in seen:
-            raise ArithmeticError("level map failed to be injective")
-        seen.add(out)
-        table[key] = out
-    im_index = lattice_sum(image(mat, Lattice.standard(action.n)), level).index()
+    n, factors = action.n, source.factors
+    # Source coordinates c give the representative sum c_i g_i, g_i = from_cyclic(e_i),
+    # and image coordinates sum c_i t_i, t_i = to_cyclic(M g_i) (from_cyclic reduces).
+    # An odometer walks c: advancing digit i resets each later digit j from d_j - 1
+    # to 0, moving (rep, coords) by (g_i, t_i) - sum_{j > i} (d_j - 1)(g_j, t_j).
+    steps, carry = [], (0,) * (2 * n)
+    for i in reversed(range(n)):
+        g = source.from_cyclic(tuple(int(i == j) for j in range(n)))
+        pair = g + target.to_cyclic(mat.apply(g))
+        steps.append((i, tuple(a - b for a, b in zip(pair, carry))))
+        carry = tuple(b + (factors[i] - 1) * a for a, b in zip(pair, carry))
+    digits, point, table = [0] * n, (0,) * (2 * n), {}
+    while True:
+        table[point[:n]] = target.from_cyclic(point[n:])
+        for i, step in steps:
+            if digits[i] + 1 < factors[i]:
+                digits[i] += 1
+                break
+            digits[i] = 0
+        else:
+            break
+        point = tuple(a + b for a, b in zip(point, step))
+    im_index = lattice_sum(image(mat, Lattice.standard(n)), level).index()
     if len(table) * im_index != level.index():
         raise ArithmeticError("level map image has the wrong index")
     return LevelMap(word, mat, level, source, target, table, im_index)
 
 
-def translation_orbit(level: Lattice, start) -> set[tuple]:
-    """Orbit of a coset under the standard-basis translations.
-
-    It covers the whole level, which is the finite-stage shadow of
-    minimality.
-    """
-    q = quotient(level)
-    translations = [tuple(1 if j == i else 0 for j in range(level.n)) for i in range(level.n)]
-    start = q.reduce(tuple(start))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        point = frontier.pop()
-        for t in translations:
-            nxt = q.reduce(tuple(a + b for a, b in zip(point, t)))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def translation_orbit_size(level: Lattice) -> int:
+    """Size of each orbit on Z^n / C under the standard-basis translations:
+    x + (<e_1, ..., e_n> + C) / C has [Z^n : C] / [Z^n : <e_1, ..., e_n> + C]
+    points, the whole level (the finite-stage shadow of minimality)."""
+    return level.index() // lattice_sum(Lattice.standard(level.n), level).index()
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,12 @@ are equal as subgroups exactly when their `basis` matrices are equal.  Only
 full-rank lattices are representable; constructors reject anything else.
 
 QuotientLevel materializes one finite stage Z^n / L with its cyclic
-decomposition and canonical coset representatives.
+decomposition and canonical coset representatives (`reduce`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 from .matrices import Matrix, hermite_rows, snf
@@ -196,15 +195,7 @@ class QuotientLevel:
         return self.from_cyclic(self.to_cyclic(x))
 
     def size(self) -> int:
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
-
-    def representatives(self):
-        """All canonical coset representatives (index(L) many)."""
-        for coords in product(*(range(d) for d in self.factors)):
-            yield self.from_cyclic(coords)
+        return prod(self.factors)
 
 
 def quotient(lat: Lattice) -> QuotientLevel:

@@ -555,13 +555,29 @@ def test_report_json_roundtrip(report, expected):
     ],
 )
 def test_negative_bound_is_rejected_by_the_parser(tmp_path, capsys, command, flag):
+    assert reject_bound(tmp_path, capsys, command, flag, "-1") == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("analyze", "--depth"), ("analyze", "--word-bound"), ("compare", "--prime-bound")],
+)
+def test_non_integer_bound_is_rejected_without_the_type_name(tmp_path, capsys, command, flag):
+    assert reject_bound(tmp_path, capsys, command, flag, "abc") == 2
+    err = capsys.readouterr().err
+    assert "nonnegative integer expected, got 'abc'" in err
+    assert "_nonnegative" not in err
+
+
+def reject_bound(tmp_path, capsys, command, flag, value):
+    """Exit code of a run whose bound `flag` is `value`."""
     path = write(tmp_path, "a.json", TIMES2)
     files = [path, path] if command == "compare" else [path]
     extra = ["--level", "2"] if command == "groupoid" else []
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, *files, flag, "-1", *extra])
-    assert exc.value.code == 2
-    assert "nonnegative" in capsys.readouterr().err
+        cli.main([command, *files, flag, value, *extra])
+    return exc.value.code
 
 
 def test_internal_fault_exits_3_with_its_type(tmp_path, capsys, monkeypatch):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algact.actions import AlgebraicAction, Word
-from algact.groupoid import SemidirectElem, level_map, translation_orbit, verify_word_identity
+from algact.groupoid import SemidirectElem, level_map, translation_orbit_size, verify_word_identity
 from algact.lattices import Lattice, preimage
 from algact.matrices import Matrix
 from algact.presets import EXAMPLE_ACTIONS, doubling
 
 from conftest import random_nonsingular
+from test_level_reference import reference_translation_orbit
 
 
 # -- semidirect arithmetic ----------------------------------------------------
@@ -102,7 +103,7 @@ def test_level_map_composition_is_functorial(rng):
             mid_level = preimage(action.matrix(i), level)
             inner = level_map(action, wt, mid_level)
             combined = level_map(action, wst, level)
-            for rep in combined.source.representatives():
+            for rep in combined.table:
                 assert outer(inner(rep)) == combined(rep)
 
 
@@ -119,11 +120,12 @@ def test_level_map_injective_and_index_identity(rng):
 
 
 def test_orbit_known_cases():
-    assert translation_orbit(Lattice.scaled(1, 4), (1,)) == {(0,), (1,), (2,), (3,)}
+    assert reference_translation_orbit(Lattice.scaled(1, 4), (1,)) == {(0,), (1,), (2,), (3,)}
+    assert translation_orbit_size(Lattice.scaled(1, 4)) == 4
 
     lat = Lattice.from_generators(2, [(1, 1), (0, 2)])
-    orbit = translation_orbit(lat, (0, 0))
-    assert len(orbit) == 2
+    assert len(reference_translation_orbit(lat, (0, 0))) == 2
+    assert translation_orbit_size(lat) == 2
 
 
 def test_orbit_covers_random_levels(rng):
@@ -132,7 +134,7 @@ def test_orbit_covers_random_levels(rng):
         diag = [rng.randint(1, 4) for _ in range(n)]
         lat = Lattice(Matrix.diagonal(diag))
         start = tuple(rng.randint(-5, 5) for _ in range(n))
-        assert len(translation_orbit(lat, start)) == lat.index()
+        assert len(reference_translation_orbit(lat, start)) == translation_orbit_size(lat) == lat.index()
 
 
 # -- word identities ----------------------------------------------------------------

@@ -7,6 +7,7 @@ answer its input was built to have.  A changed call form or report shape
 fails here instead of in a benchmark run.  No timing is asserted.
 """
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -32,3 +33,15 @@ def test_one_case_per_workload_passes_its_check(tmp_path):
         case = next(workloads.cases(workload, 3))
         outcome = harness.invoke(case)
         assert outcome.problem is None, (workload, case.label, outcome.problem)
+
+
+def test_every_level_shape_passes_its_check(tmp_path):
+    # One full pass of the level stream runs each shape once: every Smith
+    # shape of the benchmark's levels goes through level_map.
+    harness = Harness(cli, tmp_path, timeout_s=30.0)
+    shapes = {shape.label for shape in workloads.LEVEL}
+    for case in itertools.islice(workloads.cases("level", 3), len(workloads.LEVEL)):
+        outcome = harness.invoke(case)
+        assert outcome.problem is None, (case.label, outcome.problem)
+        shapes.discard(case.label)
+    assert not shapes
