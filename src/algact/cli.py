@@ -17,7 +17,7 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 
 from .actions import (
     FREE,
@@ -33,7 +33,12 @@ from .actions import (
 )
 from .errors import InternalCheckError, SchemaError
 from .groupoid import level_map, translation_orbit_size, verify_word_identity
-from .invariants import ConjugacyClass, conjugacy_class, splitting_signature_distinguisher
+from .invariants import (
+    ConjugacyClass,
+    conjugacy_class,
+    irreducibility_screen,
+    splitting_signature_distinguisher,
+)
 from .lattices import Lattice
 from .matrices import Matrix, charpoly
 from .orders import (
@@ -62,15 +67,6 @@ RING_BASIS = "prime-splitting rigidity for commutative ring actions"
 POLY_BASIS = "dimension/character rigidity for zero-dimensional ideal actions"
 
 
-@dataclass
-class CompareVerdict:
-    status: str  # "distinguished" | "consistent" | "inconclusive"
-    evidence: list[tuple[str, str, str]]
-    theorem_basis: str
-    hypotheses: dict
-    note: str | None = None
-
-
 # ---------------------------------------------------------------------------
 # Input handling
 # ---------------------------------------------------------------------------
@@ -91,7 +87,8 @@ def _read_document(path: str) -> dict:
         raise SchemaError("", f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("", "top-level JSON object expected")
-    if doc.get("schema", 1) != 1:
+    schema = doc.get("schema", 1)
+    if isinstance(schema, bool) or not isinstance(schema, int) or schema != 1:
         raise SchemaError("/schema", "unsupported schema version")
     return doc
 
@@ -290,15 +287,26 @@ def _yn(flag) -> str:
 
 
 def cmd_compare(args) -> int:
-    if args.mode == "toral":
-        verdict = _compare_toral(args)
-    elif args.mode == "ring":
-        verdict = _compare_ring(args)
-    elif args.mode == "poly":
-        verdict = _compare_poly(args)
+    """The one verdict rule: inconclusive unless the mode's hypotheses were
+    verified on both sides; then distinguished when some evidence row
+    differs, consistent (never isomorphic) when none does."""
+    basis, hypotheses, verified, evidence, notes = COMPARE_MODES[args.mode](args)
+    if not verified:
+        status = "inconclusive"
+    elif any(left != right for _, left, right in evidence):
+        status = "distinguished"
     else:
-        raise SchemaError("/mode", f"unknown mode {args.mode!r}")
-    report = {"schema": 1, "kind": "compare", "mode": args.mode, **_to_json(verdict)}
+        status = "consistent"
+    report = {
+        "schema": 1,
+        "kind": "compare",
+        "mode": args.mode,
+        "status": status,
+        "evidence": _to_json(evidence),
+        "theorem_basis": basis,
+        "hypotheses": hypotheses,
+        "note": notes.get(status),
+    }
     _emit(report, args.json, _render_compare)
     return 0
 
@@ -329,81 +337,64 @@ def _toral_hypotheses(cls: ConjugacyClass | None) -> dict:
     return out
 
 
-def _compare_toral(args) -> CompareVerdict:
+def _toral_evidence(args):
     a = load_action(_read_document(args.first))
     b = load_action(_read_document(args.second))
     ca, cb = (conjugacy_class(x.matrices[0]) if len(x.gens) == 1 else None for x in (a, b))
     hyp_a, hyp_b = _toral_hypotheses(ca), _toral_hypotheses(cb)
-    hypotheses = {"first": hyp_a, "second": hyp_b}
-    ok = all(
+    verified = all(
         h.get("single_generator") and h.get("non_automorphic") and h.get("mixing")
         for h in (hyp_a, hyp_b)
     )
     evidence = [("rank", str(a.n), str(b.n))]
     if ca is not None and cb is not None:
         evidence.append(("invariant_factors", "; ".join(ca.describe()), "; ".join(cb.describe())))
-    if not ok:
-        return CompareVerdict(
-            "inconclusive",
-            evidence,
-            TORAL_BASIS,
-            hypotheses,
-            "hypotheses not satisfied: need single non-automorphic mixing generators",
-        )
-    differs = any(left != right for _, left, right in evidence)
-    if differs:
-        return CompareVerdict("distinguished", evidence, TORAL_BASIS, hypotheses)
-    return CompareVerdict(
-        "consistent",
-        evidence,
-        TORAL_BASIS,
-        hypotheses,
-        "rationally conjugate generators; no distinction available (isomorphism is not claimed)",
-    )
+    notes = {
+        "inconclusive": "hypotheses not satisfied: need single non-automorphic mixing generators",
+        "consistent": "rationally conjugate generators; no distinction available (isomorphism is not claimed)",
+    }
+    return TORAL_BASIS, {"first": hyp_a, "second": hyp_b}, verified, evidence, notes
 
 
-def _compare_ring(args) -> CompareVerdict:
+def _ring_evidence(args):
     f = load_compare_poly(_read_document(args.first))
     g = load_compare_poly(_read_document(args.second))
-    try:
-        verdict = splitting_signature_distinguisher(f, g, args.prime_bound)
-    except ValueError as exc:
-        raise SchemaError("/poly", str(exc)) from exc
+    screen_notes = []
+    for name, poly in (("first", f), ("second", g)):
+        ok, why = irreducibility_screen(poly)
+        if not ok:
+            raise SchemaError("/poly", f"{name} polynomial fails the irreducibility screen: {why}")
+        if why.startswith("screened only"):
+            screen_notes.append(f"{name}: {why}")
     hypotheses = {
         "monic_irreducible_screen": True,
-        "notes": verdict.irreducibility_notes,
+        "notes": screen_notes,
         "prime_bound": args.prime_bound,
     }
-    if verdict.distinguished:
-        if verdict.prime is not None:
-            evidence = [
-                (
-                    f"splitting_signature(p={verdict.prime})",
-                    str(list(verdict.signatures[0])),
-                    str(list(verdict.signatures[1])),
-                )
-            ]
-            note = f"distinguished at p = {verdict.prime}"
-        else:
-            evidence = [("degree", str(f.degree), str(g.degree))]
-            note = "distinguished: degree"
-        return CompareVerdict("distinguished", evidence, RING_BASIS, hypotheses, note)
-    return CompareVerdict(
-        "consistent",
-        [("splitting_signatures", "agree", "agree")],
-        RING_BASIS,
-        hypotheses,
-        f"indistinguishable up to prime bound {args.prime_bound} (isomorphism is not claimed)",
-    )
+    notes = {
+        "consistent": f"indistinguishable up to prime bound {args.prime_bound} (isomorphism is not claimed)"
+    }
+    if f.degree != g.degree:
+        evidence = [("degree", str(f.degree), str(g.degree))]
+        notes["distinguished"] = "distinguished: degree"
+    elif (found := splitting_signature_distinguisher(f, g, args.prime_bound)) is not None:
+        p, sf, sg = found
+        evidence = [(f"splitting_signature(p={p})", str(list(sf)), str(list(sg)))]
+        notes["distinguished"] = f"distinguished at p = {p}"
+    else:
+        evidence = [("splitting_signatures", "agree", "agree")]
+    # Both sides passed the screen; above degree 3 irreducibility is only
+    # caller-asserted (see the hypotheses' notes).
+    return RING_BASIS, hypotheses, True, evidence, notes
 
 
-def _compare_poly(args) -> CompareVerdict:
+def _poly_evidence(args):
     names_a, gens_a, order_a = load_ideal(_read_document(args.first))
     names_b, gens_b, order_b = load_ideal(_read_document(args.second))
     rep_a = commalg_conditions(gens_a, names_a, order_a)
     rep_b = commalg_conditions(gens_b, names_b, order_b)
     hypotheses = {"first": _condition_summary(rep_a), "second": _condition_summary(rep_b)}
-    ok = all(
+    verified = all(
         r.a_holds and r.b_holds and r.c_holds and r.d_holds is True for r in (rep_a, rep_b)
     )
     evidence = [
@@ -415,28 +406,21 @@ def _compare_poly(args) -> CompareVerdict:
             "; ".join(sorted(rep_b.char_polys.values())) if rep_b.char_polys else "-",
         ),
     ]
-    if not ok:
-        return CompareVerdict(
-            "inconclusive",
-            evidence,
-            POLY_BASIS,
-            hypotheses,
-            "conditions (a)-(d) not all satisfied on both sides",
-        )
-    differs = any(left != right for _, left, right in evidence)
-    if differs:
-        return CompareVerdict("distinguished", evidence, POLY_BASIS, hypotheses)
-    return CompareVerdict(
-        "consistent",
-        evidence,
-        POLY_BASIS,
-        hypotheses,
-        "all computed invariants agree (isomorphism is not claimed)",
-    )
+    notes = {
+        "inconclusive": "conditions (a)-(d) not all satisfied on both sides",
+        "consistent": "all computed invariants agree (isomorphism is not claimed)",
+    }
+    return POLY_BASIS, hypotheses, verified, evidence, notes
 
 
 def _condition_summary(rep) -> dict:
     return {"a": rep.a_holds, "b": rep.b_holds, "c": rep.c_holds, "d": rep.d_holds}
+
+
+# Each mode loads its two documents and returns its theorem basis, its
+# hypotheses, whether they were verified on both sides, its evidence rows
+# (name, first, second) and the note of each status it can reach.
+COMPARE_MODES = {"toral": _toral_evidence, "ring": _ring_evidence, "poly": _poly_evidence}
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +488,11 @@ def cmd_groupoid(args) -> int:
         if args.trace == "-":
             print(json.dumps(trace, indent=2))
         else:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(trace, fh, indent=2)
+            try:
+                with open(args.trace, "w", encoding="utf-8") as fh:
+                    json.dump(trace, fh, indent=2)
+            except OSError as exc:
+                raise SchemaError("/trace", f"cannot write {args.trace}: {exc}") from exc
     _emit(report, args.json, _render_groupoid)
     if failures or not orbit_covers:
         raise InternalCheckError(
@@ -711,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="certify non-isomorphism by contraposition")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--mode", choices=("toral", "ring", "poly"), default="toral")
+    p.add_argument("--mode", choices=tuple(COMPARE_MODES), default="toral")
     p.add_argument("--prime-bound", type=_nonnegative, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)

@@ -7,7 +7,7 @@ class SchemaError(ValueError):
     """Input-document violation, carrying a JSON-pointer-style path."""
 
     def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
         self.message = message
 

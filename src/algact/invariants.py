@@ -46,20 +46,6 @@ def conjugacy_class(m: Matrix) -> ConjugacyClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SplittingVerdict:
-    status: str  # "distinguished" | "indistinguishable"
-    reason: str
-    prime: int | None
-    signatures: tuple | None
-    prime_bound: int
-    irreducibility_notes: list[str]
-
-    @property
-    def distinguished(self) -> bool:
-        return self.status == "distinguished"
-
-
 def irreducibility_screen(f: Poly) -> tuple[bool, str]:
     """Best-effort irreducibility over Q: rational roots and cyclotomic
     factors are excluded; degrees <= 3 are thereby decided, higher degrees
@@ -85,49 +71,18 @@ def irreducibility_screen(f: Poly) -> tuple[bool, str]:
 
 
 def splitting_signature_distinguisher(
-    f: Poly, g: Poly, prime_bound: int = 200
-) -> SplittingVerdict:
-    """Compare the factor-degree signatures of two monic irreducible
-    polynomials at all unramified primes up to the bound.
+    f: Poly, g: Poly, prime_bound: int
+) -> tuple[int, tuple, tuple] | None:
+    """The first unramified prime p up to the bound at which two monic
+    irreducible polynomials of equal degree have different factor-degree
+    signatures, as (p, signature of f, signature of g); None if there is none.
 
-    A disagreement certifies that the rational algebras Q[z]/(f) and
-    Q[z]/(g) are not isomorphic; agreement certifies nothing.
+    A difference certifies that the rational algebras Q[z]/(f) and
+    Q[z]/(g) are not isomorphic; None certifies nothing.
     """
-    notes = []
-    for name, poly in (("first", f), ("second", g)):
-        ok, why = irreducibility_screen(poly)
-        if not ok:
-            raise ValueError(f"{name} polynomial fails the irreducibility screen: {why}")
-        if why.startswith("screened only"):
-            notes.append(f"{name}: {why}")
-    if f.degree != g.degree:
-        return SplittingVerdict(
-            "distinguished",
-            "degree",
-            None,
-            None,
-            prime_bound,
-            notes,
-        )
     for p in primes_up_to(prime_bound):
         sf = ddf_signature(f, p)
         sg = ddf_signature(g, p)
-        if sf == RAMIFIED or sg == RAMIFIED:
-            continue
-        if sf != sg:
-            return SplittingVerdict(
-                "distinguished",
-                f"splitting signatures differ at p = {p}",
-                p,
-                (sf, sg),
-                prime_bound,
-                notes,
-            )
-    return SplittingVerdict(
-        "indistinguishable",
-        f"signatures agree at every unramified prime up to {prime_bound}",
-        None,
-        None,
-        prime_bound,
-        notes,
-    )
+        if sf != sg and RAMIFIED not in (sf, sg):
+            return p, sf, sg
+    return None

@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from algact import actions, cli, matrices, polynomials, polyring
-from algact.invariants import splitting_signature_distinguisher
+from algact import actions, cli, invariants, matrices, modp, polynomials, polyring
 from algact.matrices import Matrix
 from algact.polynomials import Poly
 from algact.presets import EXAMPLE_ACTIONS
@@ -252,11 +251,29 @@ def test_compare_ring_same_field(tmp_path, capsys):
 
 
 def test_compare_ring_rejects_reducible(tmp_path, capsys):
-    f = write(tmp_path, "f.json", {"schema": 1, "poly": "z^2-1"})
-    g = write(tmp_path, "g.json", {"schema": 1, "poly": "z^2-2"})
-    code, _, err = run_cli(capsys, ["compare", f, g, "--mode", "ring"])
-    assert code == 2
-    assert "irreducibility" in err
+    # (z^2+z+1)(z-1) = z^3-1 is reducible on the second side
+    for first, second in (("z^2-1", "z^2-2"), ("z^2-5*z+6", "z^2+1"), ("z^2+1", "z^3-1")):
+        f = write(tmp_path, "f.json", {"schema": 1, "poly": first})
+        g = write(tmp_path, "g.json", {"schema": 1, "poly": second})
+        code, _, err = run_cli(capsys, ["compare", f, g, "--mode", "ring"])
+        assert code == 2, (first, second)
+        assert "irreducibility" in err
+
+
+def test_compare_ring_degree_scans_no_prime(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(f, p):
+        calls.append(p)
+        return modp.ddf_signature(f, p)
+
+    monkeypatch.setattr(invariants, "ddf_signature", counting)
+    f = write(tmp_path, "f.json", {"schema": 1, "poly": "z^2+1"})
+    g = write(tmp_path, "g.json", {"schema": 1, "poly": "z^3-2"})
+    code, out, _ = run_cli(capsys, ["compare", f, g, "--mode", "ring", "--json"])
+    assert code == 0
+    assert json.loads(out)["evidence"] == [["degree", "2", "3"]]
+    assert calls == []
 
 
 def test_compare_poly_mode(tmp_path, capsys):
@@ -368,6 +385,15 @@ def test_groupoid_degenerate_level(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["groupoid", path, "--level", "0"])
     assert code == 2
     assert "rank-deficient" in err
+
+
+def test_groupoid_unwritable_trace_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "a.json", TIMES2)
+    trace = str(tmp_path / "missing" / "t.json")
+    code, _, err = run_cli(capsys, ["groupoid", path, "--level", "2", "--trace", trace])
+    assert code == 2
+    assert "/trace" in err
+    assert "internal invariant violation" not in err
 
 
 def test_groupoid_internal_check_exit_code(tmp_path, capsys, monkeypatch):
@@ -527,11 +553,15 @@ def test_analyze_and_ring_build_one_family_each(tmp_path, capsys, monkeypatch):
     "report,expected",
     [
         (
-            splitting_signature_distinguisher(Poly((1, 0, 1)), Poly((-2, 0, 1)), 100),
-            {"prime": 5, "signatures": [[1, 1], [2]], "irreducibility_notes": []},
+            actions.check_SF_via_det(
+                actions.AlgebraicAction(
+                    2, [("s", Matrix([[2, 0], [0, 2]])), ("t", Matrix([[0, 4], [-4, 0]]))]
+                )
+            ),
+            {"status": "fails", "witness_exponents": [-2, 1]},
         ),
     ],
-    ids=["SplittingVerdict"],
+    ids=["SFReport"],
 )
 def test_report_json_roundtrip(report, expected):
     data = cli._to_json(report)
@@ -595,11 +625,12 @@ def test_internal_fault_exits_3_with_its_type(tmp_path, capsys, monkeypatch):
 
 
 def test_unsupported_schema_version(tmp_path, capsys):
-    doc = dict(TIMES2, schema=2)
-    path = write(tmp_path, "a.json", doc)
-    code, _, err = run_cli(capsys, ["analyze", path])
-    assert code == 2
-    assert "/schema" in err
+    # True == 1 and 1.0 == 1 in Python, but only the integer 1 is version 1
+    for version in (2, True, 1.0, "1"):
+        path = write(tmp_path, "a.json", dict(TIMES2, schema=version))
+        code, _, err = run_cli(capsys, ["analyze", path])
+        assert code == 2, version
+        assert "/schema" in err
 
 
 def run_module(*args):
@@ -623,3 +654,4 @@ def test_module_entry_point_bad_input(tmp_path):
     path = tmp_path / "missing.json"
     proc = run_module("analyze", str(path))
     assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: cannot read")  # no empty pointer

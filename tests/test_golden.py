@@ -162,6 +162,31 @@ def test_golden_output(name, tmp_path):
         assert text == (GOLDEN / (name + suffix)).read_text(encoding="utf-8"), suffix
 
 
+# compare mode -> the hypotheses that must read true on both sides; ring mode
+# has none in its report, because a failed irreducibility screen is an input error
+RULE_HYPOTHESES = {
+    "toral": ("single_generator", "non_automorphic", "mixing"),
+    "ring": (),
+    "poly": ("a", "b", "c", "d"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("compare_*.json")), ids=lambda path: path.stem)
+def test_compare_status_follows_the_one_sided_rule(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    hypotheses = report["hypotheses"]
+    verified = all(
+        hypotheses[side].get(key) is True for key in RULE_HYPOTHESES[report["mode"]] for side in ("first", "second")
+    )
+    if not verified:
+        expected = "inconclusive"
+    elif any(left != right for _, left, right in report["evidence"]):
+        expected = "distinguished"
+    else:
+        expected = "consistent"
+    assert report["status"] == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:

