@@ -77,6 +77,16 @@ def test_splitting_monotone_in_bound():
     assert primes[0] == primes[1] == primes[2]
 
 
+def test_splitting_rejects_reducible():
+    # Splitting signatures certify only between irreducible polynomials; the
+    # screen that rejects these inputs runs before any prime is scanned (ring
+    # compare exits 2 on them, see test_cli.py::test_compare_ring_rejects_reducible).
+    ok, why = irreducibility_screen(Poly((6, -5, 1)))  # (z-2)(z-3)
+    assert not ok and why == "rational root 2"
+    ok, why = irreducibility_screen(Poly((1, 1, 1)) * Poly((-1, 1)))  # z^3-1
+    assert not ok and why == "rational root 1"
+
+
 def test_irreducibility_screen():
     ok, why = irreducibility_screen(Poly((1, 0, 1)))
     assert ok
