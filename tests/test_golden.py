@@ -114,6 +114,14 @@ CASES = {
     "compare_ring_distinguished": ("compare", [_poly("z^2+1"), _poly("z^2-2")], ["--mode", "ring"]),
     "compare_ring_degree": ("compare", [_poly("z^2-2"), _poly("z^3-2")], ["--mode", "ring"]),
     "compare_ring_consistent": ("compare", [_poly("z^2-2"), _poly("z^2-8")], ["--mode", "ring"]),
+    # degree 8 against its Taylor shift z -> z+1: every split reaches the d >= 2 Frobenius steps
+    "compare_ring_shift_degree8": (
+        "compare",
+        [_poly("z^8+2*z+2"), _poly("z^8+8*z^7+28*z^6+56*z^5+70*z^4+56*z^3+28*z^2+10*z+5")],
+        ["--mode", "ring", "--prime-bound", "300"],
+    ),
+    # decided at p = 7 by a degree-3 split: [3, 3] against [6]
+    "compare_ring_sextic_distinguished": ("compare", [_poly("z^6-2"), _poly("z^6-3")], ["--mode", "ring"]),
     "compare_poly_distinguished": (
         "compare",
         [_ideal(["u", "v"], ["u^2-2", "v^2-3"]), _ideal(["u", "v"], ["u^2-2", "v^2-5"])],
