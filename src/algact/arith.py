@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import isqrt
 
 # The first 13 primes as Miller-Rabin witnesses decide primality for every
@@ -106,12 +107,26 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def primes_up_to(bound: int) -> list[int]:
-    if bound < 2:
-        return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+def iter_primes(bound: int) -> Iterator[int]:
+    """The primes up to bound in increasing order, sieved lazily in segments
+    [lo, 2*lo): a scan that stops early allocates only what it reached, and
+    the sieving primes kept are those up to sqrt(bound).
+    """
+    sieving: list[int] = []
+    lo = 2
+    while lo <= bound:
+        hi = min(2 * lo, bound + 1)
+        segment = bytearray([1]) * (hi - lo)
+        # every prime below sqrt(hi) is below lo, so sieving holds it already
+        for q in sieving:
+            if q * q >= hi:
+                break
+            start = -lo % q
+            segment[start::q] = bytes(len(range(start, hi - lo, q)))
+        for i, flag in enumerate(segment):
+            if flag:
+                p = lo + i
+                if p * p <= bound:
+                    sieving.append(p)
+                yield p
+        lo = hi

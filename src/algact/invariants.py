@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .arith import divisors, primes_up_to
+from .arith import divisors, iter_primes
 from .matrices import Matrix, poly_invariant_factors
 from .modp import RAMIFIED, ddf_signature
 from .polynomials import Poly, cyclotomic_split, format_poly
@@ -80,7 +80,7 @@ def splitting_signature_distinguisher(
     A difference certifies that the rational algebras Q[z]/(f) and
     Q[z]/(g) are not isomorphic; None certifies nothing.
     """
-    for p in primes_up_to(prime_bound):
+    for p in iter_primes(prime_bound):
         sf = ddf_signature(f, p)
         sg = ddf_signature(g, p)
         if sf != sg and RAMIFIED not in (sf, sg):

@@ -2,7 +2,9 @@
 
 Polynomials mod p are coefficient lists (low degree first, entries in [0, p),
 no trailing zeros).  Only what the splitting signature needs is implemented:
-division, gcd, and modular exponentiation of x.
+division, gcd, powering modulo a polynomial, and the distinct-degree
+factorization, which iterates the Frobenius h -> h^p mod g from h = x
+(Cohen, GTM 138, Alg. 3.4.3).
 """
 
 from __future__ import annotations
@@ -69,15 +71,16 @@ def _gcd(a, b, p):
     return a
 
 
-def _pow_x(exp: int, modulus, p):
-    """x^exp mod (modulus, p) by square and multiply."""
-    result = [1]
-    base = _mod([0, 1], modulus, p)
-    while exp:
-        if exp & 1:
+def _pow_mod(base, exp: int, modulus, p):
+    """base^exp mod (modulus, p) for exp >= 1 and base reduced mod modulus, by
+    left-to-right square and multiply: exp.bit_length() - 1 squarings and one
+    product per further set bit.
+    """
+    result = base
+    for bit in bin(exp)[3:]:
+        result = _mod(_mul(result, result, p), modulus, p)
+        if bit == "1":
             result = _mod(_mul(result, base, p), modulus, p)
-        base = _mod(_mul(base, base, p), modulus, p)
-        exp >>= 1
     return result
 
 
@@ -89,6 +92,32 @@ def reduce_poly(f: Poly, p: int) -> list[int]:
     if not f.is_integral():
         raise ValueError("integer polynomial required")
     return _trim([c % p for c in f.coeffs])
+
+
+def _distinct_degree_factors(fbar, p):
+    """The pairs (d, g_d), d increasing, where g_d is the product of the
+    degree-d irreducible factors of fbar, a monic squarefree polynomial mod p.
+    Only nonconstant g_d are listed, and their product is fbar.
+
+    h holds x^(p^d) mod g, one p-th power per degree.  Once the factors of
+    degree at most d are divided out, a g of degree below 2(d+1) is
+    irreducible, so what is left of g is one factor.
+    """
+    pairs = []
+    g = fbar
+    h = [0, 1]
+    d = 0
+    while len(g) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, p, g, p)
+        common = _gcd(g, _sub(h, [0, 1], p), p)
+        if len(common) > 1:
+            pairs.append((d, common))
+            g = _divmod(g, common, p)[0]
+            h = _mod(h, g, p)
+    if len(g) > 1:
+        pairs.append((len(g) - 1, g))
+    return pairs
 
 
 def ddf_signature(f: Poly, p: int):
@@ -108,19 +137,5 @@ def ddf_signature(f: Poly, p: int):
         raise ValueError("leading coefficient vanishes mod p")
     if _gcd(fbar, _derivative(fbar, p), p) != [1]:
         return RAMIFIED
-    degrees: list[int] = []
-    g = fbar
-    d = 0
-    while len(g) - 1 > 0:
-        d += 1
-        if 2 * d > len(g) - 1:
-            degrees.append(len(g) - 1)
-            break
-        h = _pow_x(p**d, g, p)
-        hx = _sub(h, [0, 1], p)
-        common = _gcd(g, hx, p)
-        deg_common = len(common) - 1
-        if deg_common > 0:
-            degrees.extend([d] * (deg_common // d))
-            g = _divmod(g, common, p)[0]
-    return tuple(sorted(degrees))
+    pairs = _distinct_degree_factors(fbar, p)
+    return tuple(d for d, g_d in pairs for _ in range((len(g_d) - 1) // d))

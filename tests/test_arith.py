@@ -1,4 +1,6 @@
-from algact.arith import _MR_LIMIT, is_prime, prime_factors
+from itertools import islice
+
+from algact.arith import _MR_LIMIT, is_prime, iter_primes, prime_factors
 
 BOUND = 10**6
 
@@ -33,3 +35,13 @@ def test_is_prime_against_trial_division():
         return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
     assert [n for n in range(2000) if is_prime(n)] == [n for n in range(2000) if slow(n)]
+
+
+def test_iter_primes_against_is_prime():
+    # bounds on and around the segment ends 2^k and squares of primes
+    for bound in [*range(60), 127, 128, 129, 168, 169, 170, 1024, 10007]:
+        assert list(iter_primes(bound)) == [n for n in range(bound + 1) if is_prime(n)], bound
+
+
+def test_iter_primes_is_lazy():
+    assert list(islice(iter_primes(10**18), 5)) == [2, 3, 5, 7, 11]

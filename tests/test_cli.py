@@ -77,6 +77,18 @@ def test_analyze_rotation(tmp_path, capsys):
     assert report["mixing"]["r"]["witness_order"] == 4
 
 
+@pytest.mark.xfail(
+    strict=True, reason="exactness sees unit factors only among cyclotomics (ROADMAP item 4)"
+)
+def test_analyze_golden_ratio_factor_is_not_exact(tmp_path, capsys):
+    # the companion of (z^2-z-1)(z^2-3): the golden-ratio factor has constant
+    # term -1, so the action is not exact; today it reads exact
+    path = write(tmp_path, "a.json", action_doc(4, [[0, 0, 0, -3, 1, 0, 0, -3, 0, 1, 0, 4, 0, 0, 1, 1]]))
+    code, out, _ = run_cli(capsys, ["analyze", path, "--json"])
+    assert code == 0
+    assert json.loads(out)["exactness"]["verdict"] == "not_exact"
+
+
 def test_analyze_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -260,6 +272,19 @@ def test_compare_ring_rejects_reducible(tmp_path, capsys):
         assert "irreducibility" in err
 
 
+@pytest.mark.xfail(
+    strict=True, reason="the irreducibility screen only screens above degree 3 (ROADMAP item 4)"
+)
+def test_compare_ring_rejects_reducible_quartic(tmp_path, capsys):
+    # z^4+5*z^2+6 = (z^2+2)(z^2+3) has no rational root and no cyclotomic
+    # factor; today it passes the screen and reads distinguished at p = 5
+    f = write(tmp_path, "f.json", {"schema": 1, "poly": "z^4+5*z^2+6"})
+    g = write(tmp_path, "g.json", {"schema": 1, "poly": "z^4-2"})
+    code, _, err = run_cli(capsys, ["compare", f, g, "--mode", "ring"])
+    assert code == 2
+    assert "irreducibility" in err
+
+
 def test_compare_ring_degree_scans_no_prime(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -343,6 +368,15 @@ def test_compare_prime_bound_flag(tmp_path, capsys):
     )
     assert json.loads(out2)["status"] == "distinguished"
     assert json.loads(out2)["evidence"][0][0] == "splitting_signature(p=5)"
+
+
+def test_compare_prime_bound_caps_the_scan_without_allocating(tmp_path, capsys):
+    # decided at p = 7; a sieve of every integer up to 10^12 would not fit in memory
+    f = write(tmp_path, "f.json", {"schema": 1, "poly": "z^6-2"})
+    g = write(tmp_path, "g.json", {"schema": 1, "poly": "z^6-3"})
+    code, out, _ = run_cli(capsys, ["compare", f, g, "--mode", "ring", "--prime-bound", str(10**12)])
+    assert code == 0
+    assert "distinguished at p = 7" in out
 
 
 # -- groupoid -----------------------------------------------------------------

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from algact import modp
+from algact.arith import is_prime
 from algact.modp import RAMIFIED, ddf_signature
 from algact.polynomials import Poly
+
+PRIMES = [p for p in range(600) if is_prime(p)]
 
 
 def test_signature_known_cases():
@@ -69,3 +74,45 @@ def test_known_ramified():
     assert ddf_signature(f, 2) == RAMIFIED
     assert ddf_signature(f, 7) == (1, 1)  # 3^2 = 2 mod 7
     assert ddf_signature(f, 5) == (2,)
+
+
+def taylor_shift(f: Poly, k: int) -> Poly:
+    """f(z + k), by Horner's rule."""
+    out = Poly(())
+    for c in reversed(f.coeffs):
+        out = out * Poly((k, 1)) + Poly((c,))
+    return out
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=10),
+    st.integers(-25, 25),
+    st.sampled_from(PRIMES[:40]),
+)
+def test_signature_invariant_under_taylor_shift(lower, k, p):
+    # z -> z + k is an automorphism of F_p[z], so it maps factors to factors
+    # of the same degree, and squarefree to squarefree
+    f = Poly([*lower, 1])
+    assert ddf_signature(taylor_shift(f, k), p) == ddf_signature(f, p)
+
+
+def test_multiplication_count_per_signature(monkeypatch):
+    # one p-th power per degree d <= n/2, each at most 2 * p.bit_length()
+    # products; rebuilding x^(p^d) at every d would cost d times as many
+    calls = 0
+    real_mul = modp._mul
+
+    def counting(a, b, p):
+        nonlocal calls
+        calls += 1
+        return real_mul(a, b, p)
+
+    monkeypatch.setattr(modp, "_mul", counting)
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        f = Poly([rng.randint(-40, 40) for _ in range(n)] + [1])
+        p = rng.choice(PRIMES)
+        calls = 0
+        ddf_signature(f, p)
+        assert calls <= (n // 2) * 2 * p.bit_length(), (f.coeffs, p, calls)
