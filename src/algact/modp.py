@@ -138,4 +138,7 @@ def ddf_signature(f: Poly, p: int):
     if _gcd(fbar, _derivative(fbar, p), p) != [1]:
         return RAMIFIED
     pairs = _distinct_degree_factors(fbar, p)
-    return tuple(d for d, g_d in pairs for _ in range((len(g_d) - 1) // d))
+    # A list, not a generator: CPython sizes tuple(generator) by a guess and
+    # shrinks it, which moves a tuple between its per-size free lists on
+    # every call and grows them to their caps (a few MB over a long run).
+    return tuple([d for d, g_d in pairs for _ in range((len(g_d) - 1) // d)])
