@@ -10,7 +10,6 @@ from .actions import (
     FREE,
     FREE_ABELIAN,
     AlgebraicAction,
-    Word,
     check_condition_F,
     check_SF_via_det,
     check_standing,

@@ -80,60 +80,6 @@ class AlgebraicAction:
         return f"AlgebraicAction(n={self.n}, gens={list(self.names)}, {kind})"
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word in the acting monoid (or its group of fractions).
-
-    Pairs are (generator index, exponent); negative exponents step into the
-    globalization and evaluate to rational matrices.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Word":
-        cleaned = tuple((int(i), int(e)) for i, e in pairs if e != 0)
-        return cls(cleaned)
-
-    @classmethod
-    def identity(cls) -> "Word":
-        return cls(())
-
-    @classmethod
-    def generator(cls, index: int, exp: int = 1) -> "Word":
-        return cls.from_pairs([(index, exp)])
-
-    @classmethod
-    def from_exponents(cls, exps) -> "Word":
-        return cls.from_pairs((i, e) for i, e in enumerate(exps))
-
-    def is_identity(self) -> bool:
-        return not self.pairs
-
-    def is_monoid_word(self) -> bool:
-        return all(e > 0 for _, e in self.pairs)
-
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.pairs)
-
-    def evaluate(self, action: AlgebraicAction, allow_inverses: bool = False) -> Matrix:
-        out = Matrix.identity(action.n)
-        for i, e in self.pairs:
-            if e < 0 and not allow_inverses:
-                raise ValueError("negative exponent in a monoid word")
-            out = out * (action.matrix(i) ** e)
-        return out
-
-    def describe(self, action: AlgebraicAction) -> str:
-        if not self.pairs:
-            return "1"
-        parts = []
-        for i, e in self.pairs:
-            name = action.names[i]
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return " ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # Standing assumptions
 # ---------------------------------------------------------------------------
@@ -169,10 +115,10 @@ def check_standing(action: AlgebraicAction, word_bound: int = 6) -> StandingRepo
     commuting = all(a * b == b * a for a, b in itertools.combinations(mats, 2))
     if action.monoid_kind == FREE_ABELIAN and faithful:
         ident = Matrix.identity(action.n)
-        relation = next((word for word, mat in _word_matrices(action, word_bound) if mat == ident), None)
+        relation = next((pairs for pairs, mat in _word_matrices(action, word_bound) if mat == ident), None)
         if relation is not None:
             faithful = False
-            exps = dict(relation.pairs)
+            exps = dict(relation)
             note = f"multiplicative relation at exponents {tuple(exps.get(i, 0) for i in range(len(mats)))}"
         else:
             note = f"multiplicatively independent up to word length {word_bound}"
@@ -324,10 +270,10 @@ def check_condition_F(
     ident = Matrix.identity(action.n)
     failing = None
     checked = 0
-    for word, mat in _word_matrices(action, word_bound):
+    for pairs, mat in _word_matrices(action, word_bound):
         checked += 1
         if (ident - mat).det() == 0:
-            failing = word.describe(action)
+            failing = _describe(pairs, action.names)
             break
     equivalence = None
     if len(action.gens) == 1:
@@ -343,11 +289,12 @@ def check_condition_F(
 
 
 def _word_matrices(action: AlgebraicAction, bound: int):
-    """Yield (word, matrix) for every nontrivial group word of length at most
-    bound: exponent vectors by increasing length, each followed by its
-    negation, for a free-abelian monoid; reduced words depth first for a free
-    one.  A word's matrix is a product of table powers, or its prefix's matrix
-    times one letter, and each generator is inverted once."""
+    """Yield (pairs, matrix) for every nontrivial group word of length at most
+    bound, pairs being its (generator index, nonzero exponent) letters:
+    exponent vectors by increasing length, each followed by its negation, for
+    a free-abelian monoid; reduced words depth first for a free one.  A word's
+    matrix is a product of table powers, or its prefix's matrix times one
+    letter, and each generator is inverted once."""
     mats = action.matrices
     if action.monoid_kind == FREE_ABELIAN:
         tables = [{0: Matrix.identity(action.n)} for _ in mats]
@@ -357,14 +304,14 @@ def _word_matrices(action: AlgebraicAction, bound: int):
                 table[-total] = m.inverse() if total == 1 else table[1 - total] * table[-1]
             for vec in _signed_vectors(len(mats), total):
                 for exps in (vec, tuple(-e for e in vec)):
-                    word = Word.from_exponents(exps)
-                    yield word, reduce(mul, (tables[i][e] for i, e in word.pairs))
+                    pairs = tuple([(i, e) for i, e in enumerate(exps) if e])
+                    yield pairs, reduce(mul, (tables[i][e] for i, e in pairs))
         return
     letters = [((i, 1), m) for i, m in enumerate(mats)] + [((i, -1), m.inverse()) for i, m in enumerate(mats)]
 
     def extend(word, mat):
         if word:
-            yield Word.from_pairs(word), mat
+            yield tuple(word), mat
         if len(word) == bound:
             return
         for (i, s), step in letters:
@@ -373,6 +320,11 @@ def _word_matrices(action: AlgebraicAction, bound: int):
             yield from extend(word + [(i, s)], mat * step)
 
     yield from extend([], Matrix.identity(action.n))
+
+
+def _describe(pairs, names) -> str:
+    """A word as text, e.g. 's^2 t^-1'."""
+    return " ".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in pairs)
 
 
 @dataclass

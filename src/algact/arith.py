@@ -86,14 +86,12 @@ def prime_factors(n: int, bound: int | None = None) -> tuple[dict[int, int], int
 
 
 def divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    """The positive divisors of n != 0 in increasing order, built from its
+    prime factorization."""
+    out = [1]
+    for p, e in prime_factors(n)[0].items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def euler_phi(n: int) -> int:

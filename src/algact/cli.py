@@ -24,7 +24,6 @@ from .actions import (
     FREE_ABELIAN,
     AlgebraicAction,
     SFReport,
-    Word,
     check_condition_F,
     check_SF_via_det,
     check_standing,
@@ -39,14 +38,13 @@ from .invariants import (
     irreducibility_screen,
     splitting_signature_distinguisher,
 )
-from .lattices import Lattice
+from .lattices import Lattice, quotient
 from .matrices import Matrix, charpoly
 from .orders import (
     StructureRing,
     action_from_ring,
     act_matrix,
     has_scalar_generator,
-    is_regular,
     norm,
     regular_shift,
     ring_preset,
@@ -457,15 +455,13 @@ def cmd_groupoid(args) -> int:
             "/level",
             f"lattice with index {level.index()} is not constructible at depth {args.depth}",
         )
-    maps_report = {
-        name: _level_map_report(action, Word.generator(i), level)
-        for i, name in enumerate(action.names)
-    }
+    target = quotient(level)
+    maps_report = {name: _level_map_report(mat, target) for name, mat in action.gens}
     orbit_covers = translation_orbit_size(level) == level.index()
     identities = {}
     failures = []
-    for i, name in enumerate(action.names):
-        rep = verify_word_identity(action, Word.generator(i))
+    for name, mat in action.gens:
+        rep = verify_word_identity(name, mat)
         identities[name] = _to_json(rep)
         if not rep.all_hold:
             failures.append(name)
@@ -486,11 +482,12 @@ def cmd_groupoid(args) -> int:
         ]
         trace = {"schema": 1, "kind": "groupoid-trace", "level": report["level"], "arrows": arrows}
         if args.trace == "-":
-            print(json.dumps(trace, indent=2))
+            _write_json(trace, sys.stdout)
+            print()
         else:
             try:
                 with open(args.trace, "w", encoding="utf-8") as fh:
-                    json.dump(trace, fh, indent=2)
+                    _write_json(trace, fh)
             except OSError as exc:
                 raise SchemaError("/trace", f"cannot write {args.trace}: {exc}") from exc
     _emit(report, args.json, _render_groupoid)
@@ -501,11 +498,11 @@ def cmd_groupoid(args) -> int:
     return 0
 
 
-def _level_map_report(action, word, level) -> dict:
+def _level_map_report(mat, target) -> dict:
     """One level map as report data (tuples, written as arrays); its table is freed on return."""
-    lm = level_map(action, word, level)
+    lm = level_map(mat, target)
     entries = [{"source": src, "target": dst} for src, dst in sorted(lm.table.items())]
-    return {"source_size": lm.source_size(), "image_index": lm.image_index, "entries": entries}
+    return {"source_size": lm.source.size(), "image_index": lm.image_index, "entries": entries}
 
 
 def _render_groupoid(report: dict) -> list[str]:
@@ -595,11 +592,12 @@ def cmd_ring(args) -> int:
                 mat = act_matrix(ring, coords)
             except ValueError as exc:  # the structure constants fail validation
                 raise SchemaError(f"/elements/{i}", str(exc)) from exc
+            size = norm(ring, coords)
             entry = {
                 "coords": coords,
                 "matrix": [list(mat.row(r)) for r in range(ring.n)],
-                "norm": norm(ring, coords),
-                "regular": is_regular(ring, coords),
+                "norm": size,
+                "regular": size != 0,
                 "regular_shift": regular_shift(ring, coords),
             }
             rows.append(entry)
@@ -655,13 +653,18 @@ def _to_json(value):
     return value
 
 
+def _write_json(value, out) -> None:
+    """Write value to out as indented JSON, without a trailing newline.  The
+    encoder's small chunks go out a few thousand at a time, so they never
+    pile up into one string the size of the document."""
+    chunks = json.JSONEncoder(indent=2).iterencode(value)
+    for piece in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+        out.write(piece)
+
+
 def _emit(report: dict, as_json: bool, renderer) -> None:
     if as_json:
-        # The encoder's small chunks go out a few thousand at a time, so they
-        # never pile up into one list the size of the report.
-        chunks = json.JSONEncoder(indent=2).iterencode(report)
-        for piece in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
-            sys.stdout.write(piece)
+        _write_json(report, sys.stdout)
         print()
     else:
         for line in renderer(report):

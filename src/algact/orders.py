@@ -1,7 +1,7 @@
 """Rings presented by integer structure constants on Z^n.
 
 These feed the ring-action pipelines: left-multiplication matrices, norms,
-regularity, the additive shift that makes any element regular, and the bridge
+the additive shift that makes any element regular, and the bridge
 into AlgebraicAction.  Presets ship for the handful of rings the examples and
 tests lean on.
 """
@@ -126,28 +126,15 @@ def norm(ring: StructureRing, a) -> int:
     return abs(act_matrix(ring, a).det())
 
 
-def is_regular(ring: StructureRing, a) -> bool:
-    return norm(ring, a) != 0
-
-
 def regular_shift(ring: StructureRing, a) -> int:
     """Smallest kappa >= 1 with a + kappa*1 regular.
 
-    Terminates because the spectrum of the multiplication matrix is finite;
-    the root bound of its characteristic polynomial caps the search.
+    In a valid ring the multiplication matrix of a + kappa*1 is M_a + kappa*I,
+    whose determinant is (-1)^n chi_a(-kappa).  chi_a has at most n roots, so
+    some kappa <= n + 1 is not a root of chi_a(-z).
     """
-    _require_valid(ring)
-    a = tuple(a)
     chi = charpoly(act_matrix(ring, a))
-    # 1 + max |coefficient| bounds every integer eigenvalue in absolute value.
-    cap = 2 + max(abs(chi[i]) for i in range(chi.degree + 1))
-    kappa = 1
-    while kappa <= cap:
-        shifted = tuple(x + kappa * o for x, o in zip(a, ring.one))
-        if is_regular(ring, shifted):
-            return kappa
-        kappa += 1
-    raise ArithmeticError("regular shift exceeded the eigenvalue bound")
+    return next(kappa for kappa in range(1, ring.n + 2) if chi(-kappa) != 0)
 
 
 def action_from_ring(ring: StructureRing, generators, names=None) -> AlgebraicAction:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import divisors, euler_phi
 
@@ -73,7 +72,9 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            other = Poly((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -82,11 +83,16 @@ class Poly:
             out[i] += c
         return Poly(out)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other) -> "Poly":
         return self + (-other)
+
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -167,14 +173,6 @@ class Poly:
         for c in reversed(self.coeffs):
             out = out * x + c
         return _scalar(Fraction(out)) if isinstance(out, Fraction) else out
-
-    def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                d = c.denominator
-                out = out * d // gcd(out, d)
-        return out
 
     # -- dunder plumbing -----------------------------------------------------
 

@@ -8,7 +8,7 @@ import random
 import time
 
 from algact import cli
-from algact.actions import AlgebraicAction, Word, constructible_family, check_condition_F
+from algact.actions import AlgebraicAction, constructible_family, check_condition_F
 from algact.groupoid import verify_word_identity
 from algact.invariants import conjugacy_class
 from algact.lattices import Lattice, intersect, lattice_sum, preimage, quotient
@@ -142,9 +142,9 @@ def test_criterion_4_word_identities():
     checked = 0
     for name, factory in EXAMPLE_ACTIONS.items():
         action = factory()
-        for i in range(len(action.gens)):
-            rep = verify_word_identity(action, Word.generator(i))
-            assert rep.all_hold, (name, i, rep.witness)
+        for gen, mat in action.gens:
+            rep = verify_word_identity(gen, mat)
+            assert rep.all_hold, (name, gen, rep.witness)
             checked += 1
     elapsed = time.monotonic() - start
     _report(4, elapsed, 5.0, f"module + semidirect + epsilon identities hold on {checked} shipped generators")

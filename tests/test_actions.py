@@ -7,7 +7,8 @@ from algact.actions import (
     FREE,
     FREE_ABELIAN,
     AlgebraicAction,
-    Word,
+    _describe,
+    _word_matrices,
     check_condition_F,
     check_SF_via_det,
     check_standing,
@@ -291,13 +292,12 @@ def test_exactness_multi_generator_reports_only():
 
 
 def test_word_evaluation():
-    a = doubling_tripling()
-    w = Word.from_pairs([(0, 2), (1, 1)])
-    assert w.evaluate(a) == Matrix([[12]])
-    winv = Word.from_pairs([(0, -1)])
-    with pytest.raises(ValueError):
-        winv.evaluate(a)
-    assert winv.evaluate(a, allow_inverses=True)[0, 0] * 2 == 1
-    assert Word.identity().evaluate(a) == Matrix.identity(1)
-    assert w.length() == 3
-    assert w.describe(a) == "s^2 t"
+    # every word the walk yields carries the product of its letters' powers
+    for action in (doubling_tripling(), scalar_action(2, 3, kind=FREE)):
+        for pairs, mat in _word_matrices(action, 3):
+            expected = Matrix.identity(1)
+            for i, e in pairs:
+                expected = expected * action.matrix(i) ** e
+            assert mat == expected and all(e for _, e in pairs)
+    assert _describe(((0, 2), (1, 1)), ("s", "t")) == "s^2 t"
+    assert _describe(((1, -1), (0, 1)), ("s", "t")) == "t^-1 s"

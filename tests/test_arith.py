@@ -1,6 +1,7 @@
 from itertools import islice
+from math import isqrt
 
-from algact.arith import _MR_LIMIT, is_prime, iter_primes, prime_factors
+from algact.arith import _MR_LIMIT, divisors, is_prime, iter_primes, prime_factors
 
 BOUND = 10**6
 
@@ -45,3 +46,18 @@ def test_iter_primes_against_is_prime():
 
 def test_iter_primes_is_lazy():
     assert list(islice(iter_primes(10**18), 5)) == [2, 3, 5, 7, 11]
+
+
+def test_divisors_against_trial_division():
+    def reference(n):
+        small, large = [], []
+        for d in range(1, isqrt(n) + 1):
+            if n % d == 0:
+                small.append(d)
+                if d != n // d:
+                    large.append(n // d)
+        return small + large[::-1]
+
+    for n in range(1, 3000):
+        assert divisors(n) == divisors(-n) == reference(n), n
+    assert len(divisors(10**20)) == 21 * 21

@@ -272,6 +272,17 @@ def test_compare_ring_rejects_reducible(tmp_path, capsys):
         assert "irreducibility" in err
 
 
+def test_compare_ring_smooth_constant_exits_promptly(tmp_path):
+    # The rational-root screen lists the 441 divisors of 10^20 from its
+    # factorization; trial division up to 10^10 would not finish.  A child
+    # process with a generous timeout turns a hang into a failure.
+    f = write(tmp_path, "f.json", {"schema": 1, "poly": "z^4-10^20"})
+    g = write(tmp_path, "g.json", {"schema": 1, "poly": "z^4-2"})
+    proc = run_module("compare", f, g, "--mode", "ring", timeout=60)
+    assert proc.returncode == 2
+    assert "rational root 100000" in proc.stderr
+
+
 @pytest.mark.xfail(
     strict=True, reason="the irreducibility screen only screens above degree 3 (ROADMAP item 4)"
 )
@@ -399,6 +410,17 @@ def test_groupoid_level4(tmp_path, capsys):
     assert {tuple(a["source"]) for a in trace["arrows"]} == {(0,), (1,)}
 
 
+def test_groupoid_trace_to_stdout_matches_the_file(tmp_path, capsys):
+    path = write(tmp_path, "a.json", action_doc(2, [[0, 2, 1, 0]], names=["s"]))
+    trace_path = tmp_path / "trace.json"
+    argv = ["groupoid", path, "--level", "4"]
+    code, report, _ = run_cli(capsys, [*argv, "--trace", str(trace_path)])
+    assert code == 0
+    code, out, _ = run_cli(capsys, [*argv, "--trace", "-"])
+    assert code == 0
+    assert out == trace_path.read_text(encoding="utf-8") + "\n" + report
+
+
 def test_groupoid_trivial_level(tmp_path, capsys):
     path = write(tmp_path, "a.json", TIMES2)
     code, out, _ = run_cli(capsys, ["groupoid", path, "--level", "1", "--json"])
@@ -434,7 +456,7 @@ def test_groupoid_internal_check_exit_code(tmp_path, capsys, monkeypatch):
     # Force a failing identity report to exercise the exit-3 path.
     from algact.groupoid import WordIdentityReport
 
-    def fake_verify(action, word, samples=None):
+    def fake_verify(name, mat):
         return WordIdentityReport("s", 1, (2, 1), -1, False, False, False, 0, None)
 
     monkeypatch.setattr(cli, "verify_word_identity", fake_verify)
@@ -667,13 +689,13 @@ def test_unsupported_schema_version(tmp_path, capsys):
         assert "/schema" in err
 
 
-def run_module(*args):
+def run_module(*args, timeout=None):
     # The child process imports the same algact as this one, installed or not.
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-m", "algact", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "algact", *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 

@@ -3,9 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algact.actions import AlgebraicAction, Word
+from algact.actions import AlgebraicAction
 from algact.groupoid import SemidirectElem, level_map, translation_orbit_size, verify_word_identity
-from algact.lattices import Lattice, preimage
+from algact.lattices import Lattice, preimage, quotient
 from algact.matrices import Matrix
 from algact.presets import EXAMPLE_ACTIONS, doubling
 
@@ -28,16 +28,6 @@ def test_sd_rank1_composition():
     assert a * b == SemidirectElem((3,), Matrix([[6]]))
 
 
-def test_sd_inverse_random(rng):
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        mat = random_nonsingular(rng, n, 4)
-        vec = tuple(rng.randint(-5, 5) for _ in range(n))
-        g = SemidirectElem(vec, mat)
-        assert g * g.inverse() == SemidirectElem.identity(n)
-        assert g.inverse() * g == SemidirectElem.identity(n)
-
-
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
 @settings(max_examples=40)
 def test_sd_associative_rank1(x, y, z):
@@ -47,42 +37,52 @@ def test_sd_associative_rank1(x, y, z):
     assert (a * b) * c == a * (b * c)
 
 
-def test_sd_act_is_affine():
-    g = SemidirectElem((1, 0), Matrix([[0, 1], [1, 1]]))
-    assert g.act((2, 3)) == (1 + 3, 2 + 3)
+def test_sd_powers_random(rng):
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        g = SemidirectElem(tuple(rng.randint(-5, 5) for _ in range(n)), random_nonsingular(rng, n, 4))
+        assert g**0 == SemidirectElem.identity(n)
+        assert g**3 == g * g * g
+    with pytest.raises(ValueError):
+        g**-1
 
 
 def test_sd_singular_rejected():
     with pytest.raises(ValueError):
         SemidirectElem((0,), Matrix([[0]]))
+    with pytest.raises(ValueError):
+        SemidirectElem((0, 0), Matrix([[2]]))
 
 
 # -- level maps ----------------------------------------------------------------
 
 
 def test_level_map_doubling_mod4():
-    lm = level_map(doubling(), Word.generator(0), Lattice.scaled(1, 4))
+    lm = level_map(Matrix([[2]]), quotient(Lattice.scaled(1, 4)))
     assert lm.table == {(0,): (0,), (1,): (2,)}
     assert lm.image_index == 2
 
 
 def test_level_map_identity_word():
-    lm = level_map(doubling(), Word.identity(), Lattice.scaled(1, 4))
+    lm = level_map(Matrix.identity(1), quotient(Lattice.scaled(1, 4)))
     assert all(src == dst for src, dst in lm.table.items())
     assert lm.image_index == 1
 
 
 def test_level_map_tripling_mod4_bijective():
-    tri = AlgebraicAction(1, [("s", Matrix([[3]]))])
-    lm = level_map(tri, Word.generator(0), Lattice.scaled(1, 4))
+    lm = level_map(Matrix([[3]]), quotient(Lattice.scaled(1, 4)))
     assert sorted(lm.table) == [(0,), (1,), (2,), (3,)]
     assert sorted(lm.table.values()) == [(0,), (1,), (2,), (3,)]
     assert lm.image_index == 1
 
 
 def test_level_map_rejects_group_words():
-    with pytest.raises(ValueError):
-        level_map(doubling(), Word.from_pairs([(0, -1)]), Lattice.scaled(1, 4))
+    # a negative power of the doubling is the non-integer matrix (1/2)
+    target = quotient(Lattice.scaled(1, 4))
+    with pytest.raises(ValueError, match="integer matrix required"):
+        level_map(Matrix([[2]]).inverse(), target)
+    with pytest.raises(ValueError, match="does not act"):
+        level_map(Matrix.identity(2), target)
 
 
 def level_actions_for_groupoid_axiom(rng):
@@ -97,20 +97,18 @@ def test_level_map_composition_is_functorial(rng):
     # level_map(s, C) after level_map(t, s^{-1}C) equals level_map(st, C)
     for action, level in level_actions_for_groupoid_axiom(rng):
         for i, j in itertools.product(range(len(action.gens)), repeat=2):
-            ws, wt = Word.generator(i), Word.generator(j)
-            wst = Word.from_pairs([(i, 1), (j, 1)])
-            outer = level_map(action, ws, level)
-            mid_level = preimage(action.matrix(i), level)
-            inner = level_map(action, wt, mid_level)
-            combined = level_map(action, wst, level)
-            for rep in combined.table:
-                assert outer(inner(rep)) == combined(rep)
+            ms, mt = action.matrix(i), action.matrix(j)
+            outer = level_map(ms, quotient(level))
+            inner = level_map(mt, quotient(preimage(ms, level)))
+            combined = level_map(ms * mt, quotient(level))
+            for rep, image in combined.table.items():
+                assert outer.table[inner.table[rep]] == image
 
 
 def test_level_map_injective_and_index_identity(rng):
     for action, level in level_actions_for_groupoid_axiom(rng):
         for i in range(len(action.gens)):
-            lm = level_map(action, Word.generator(i), level)
+            lm = level_map(action.matrix(i), quotient(level))
             values = list(lm.table.values())
             assert len(values) == len(set(values))
             assert len(values) * lm.image_index == level.index()
@@ -141,17 +139,15 @@ def test_orbit_covers_random_levels(rng):
 
 
 def test_word_identity_doubling():
-    rep = verify_word_identity(doubling(), Word.generator(0))
+    rep = verify_word_identity("s", Matrix([[2]]))
     assert rep.degree == 1 and rep.kappas == (2, 1)
     assert rep.all_hold
 
 
 def test_word_identity_fibonacci():
     fib = EXAMPLE_ACTIONS["fibonacci"]()
-    rep = verify_word_identity(
-        fib, Word.generator(0), samples=[(1, 0), (0, 1), (1, 1)]
-    )
-    assert rep.kappas == (1, 1, 1)
+    rep = verify_word_identity("s", fib.matrix(0))
+    assert rep.kappas == (1, 1, 1) and rep.samples_checked == 3
     assert rep.all_hold
 
 
@@ -160,8 +156,7 @@ def test_word_identity_epsilon_matches_det(rng):
     for _ in range(25):
         n = rng.randint(1, 3)
         m = random_nonsingular(rng, n, 4)
-        action = AlgebraicAction(n, [("s", m)])
-        rep = verify_word_identity(action, Word.generator(0))
+        rep = verify_word_identity("s", m)
         assert rep.all_hold
         assert rep.epsilon == (Matrix.identity(n) - m).det() * rep.kappas[-1]
 
@@ -169,14 +164,19 @@ def test_word_identity_epsilon_matches_det(rng):
 def test_word_identity_all_shipped_examples():
     for name, factory in EXAMPLE_ACTIONS.items():
         action = factory()
-        for i in range(len(action.gens)):
-            rep = verify_word_identity(action, Word.generator(i))
-            assert rep.all_hold, (name, i)
+        for gen, mat in action.gens:
+            rep = verify_word_identity(gen, mat)
+            assert rep.all_hold and rep.word == gen, (name, gen)
 
 
 def test_word_identity_composite_word():
-    action = AlgebraicAction(1, [("s", Matrix([[2]])), ("t", Matrix([[3]]))])
-    rep = verify_word_identity(action, Word.from_pairs([(0, 1), (1, 1)]))
+    rep = verify_word_identity("s t", Matrix([[2]]) * Matrix([[3]]))
     assert rep.kappas == (6, 1)  # word matrix is x6
     assert rep.all_hold
 
+
+def test_word_identity_rejects_non_integer_matrices():
+    with pytest.raises(ValueError, match="square integer matrix"):
+        verify_word_identity("s^-1", Matrix([[2]]).inverse())
+    with pytest.raises(ValueError, match="square integer matrix"):
+        verify_word_identity("s", Matrix([[1, 2]]))

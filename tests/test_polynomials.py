@@ -36,6 +36,16 @@ def test_add_commutes(f, g):
     assert f + g == g + f
 
 
+def test_scalar_operands_and_composition():
+    z = Poly.x()
+    assert z + 1 == 1 + z == Poly((1, 1))
+    assert 1 - z == Poly((1, -1)) and z - Fraction(1, 2) == Poly((Fraction(-1, 2), 1))
+    # Horner's rule composes: f(z + 1) for f = z^2 + 2z + 2
+    assert Poly((2, 2, 1))(Poly((1, 1))) == Poly((5, 4, 1))
+    with pytest.raises(TypeError):
+        z + 0.5
+
+
 @given(small_polys, small_polys, small_polys)
 def test_mul_distributes(f, g, h):
     assert f * (g + h) == f * g + f * h

@@ -4,7 +4,7 @@ the reference.
 
 The reference finds a multiplicative relation by rebuilding prod M_i^{e_i}
 from fresh powers for every exponent vector, and checks condition F by
-evaluating every group word from scratch with `Word.evaluate`.
+evaluating every group word from scratch as a product of generator powers.
 """
 
 import itertools
@@ -18,7 +18,6 @@ from algact.actions import (
     AlgebraicAction,
     ConditionFReport,
     StandingReport,
-    Word,
     check_condition_F,
     check_standing,
 )
@@ -86,11 +85,13 @@ def reference_condition_F(action, word_bound):
     ident = Matrix.identity(action.n)
     failing = None
     checked = 0
-    for word in reference_group_words(action, word_bound):
-        mat = word.evaluate(action, allow_inverses=True)
+    for pairs in reference_group_words(action, word_bound):
+        mat = ident
+        for i, e in pairs:
+            mat = mat * (action.matrix(i) ** e)
         checked += 1
         if (ident - mat).det() == 0:
-            failing = word.describe(action)
+            failing = " ".join(action.names[i] if e == 1 else f"{action.names[i]}^{e}" for i, e in pairs)
             break
     equivalence = None
     if len(action.gens) == 1:
@@ -104,20 +105,21 @@ def reference_condition_F(action, word_bound):
 
 
 def reference_group_words(action, bound):
+    """Each group word as its (generator index, nonzero exponent) pairs."""
     num = len(action.gens)
     if action.monoid_kind == FREE_ABELIAN:
         for total in range(1, bound + 1):
             for vec in reference_signed_vectors(num, total):
-                yield Word.from_exponents(vec)
+                yield tuple((i, e) for i, e in enumerate(vec) if e)
                 neg = tuple(-e for e in vec)
                 if neg != vec:
-                    yield Word.from_exponents(neg)
+                    yield tuple((i, e) for i, e in enumerate(neg) if e)
     else:
         letters = [(i, 1) for i in range(num)] + [(i, -1) for i in range(num)]
 
         def extend(word, length):
             if word:
-                yield Word.from_pairs(word)
+                yield tuple(word)
             if length == bound:
                 return
             for i, s in letters:
