@@ -592,13 +592,14 @@ def cmd_ring(args) -> int:
                 mat = act_matrix(ring, coords)
             except ValueError as exc:  # the structure constants fail validation
                 raise SchemaError(f"/elements/{i}", str(exc)) from exc
-            size = norm(ring, coords)
+            chi = charpoly(mat)
+            size = norm(ring, coords, chi=chi)
             entry = {
                 "coords": coords,
                 "matrix": [list(mat.row(r)) for r in range(ring.n)],
                 "norm": size,
                 "regular": size != 0,
-                "regular_shift": regular_shift(ring, coords),
+                "regular_shift": regular_shift(ring, coords, chi=chi),
             }
             rows.append(entry)
         report["elements"] = rows

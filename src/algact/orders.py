@@ -122,18 +122,24 @@ def act_matrix(ring: StructureRing, a) -> Matrix:
     return Matrix([[cols[j][i] for j in range(ring.n)] for i in range(ring.n)])
 
 
-def norm(ring: StructureRing, a) -> int:
-    return abs(act_matrix(ring, a).det())
+def norm(ring: StructureRing, a, *, chi=None) -> int:
+    """|det M_a|, which is |chi_a(0)|.  A caller that already has chi_a, the
+    characteristic polynomial of M_a, passes it and no matrix is built."""
+    if chi is None:
+        return abs(act_matrix(ring, a).det())
+    return abs(chi[0])
 
 
-def regular_shift(ring: StructureRing, a) -> int:
+def regular_shift(ring: StructureRing, a, *, chi=None) -> int:
     """Smallest kappa >= 1 with a + kappa*1 regular.
 
     In a valid ring the multiplication matrix of a + kappa*1 is M_a + kappa*I,
     whose determinant is (-1)^n chi_a(-kappa).  chi_a has at most n roots, so
-    some kappa <= n + 1 is not a root of chi_a(-z).
+    some kappa <= n + 1 is not a root of chi_a(-z).  A caller that already
+    has chi_a passes it.
     """
-    chi = charpoly(act_matrix(ring, a))
+    if chi is None:
+        chi = charpoly(act_matrix(ring, a))
     return next(kappa for kappa in range(1, ring.n + 2) if chi(-kappa) != 0)
 
 

@@ -286,20 +286,42 @@ def _exp_lcm(ea, eb):
 
 
 def normal_form(f: MPoly, basis, key) -> MPoly:
-    """Remainder of multivariate division of f by the basis."""
+    """Remainder of multivariate division of f by the basis.
+
+    The working polynomial is one term dict, reduced in place: its leading
+    term is cancelled by the first basis member whose leading exponent
+    divides it, or else moves to the remainder.  Each exponent's order key is
+    computed once per call, and only the remainder becomes an MPoly.
+    """
+    leads = []
+    for g in basis:
+        if g.is_zero():
+            continue
+        lexp, lc = g.leading(key)
+        leads.append((lexp, Fraction(lc), [(e, c) for e, c in g.terms.items() if e != lexp]))
+    work = dict(f.terms)
+    rank = {e: key(e) for e in work}
     rem: dict = {}
-    work = f
-    leads = [(g.leading(key)[0], g.leading(key)[1], g) for g in basis if not g.is_zero()]
-    while not work.is_zero():
-        exp, coeff = work.leading(key)
+    while work:
+        exp = max(work, key=rank.__getitem__)
+        coeff = work.pop(exp)
         hit = next((t for t in leads if _divides(t[0], exp)), None)
         if hit is None:
-            rem[exp] = rem.get(exp, 0) + coeff
-            work = work - MPoly.monomial(work.nvars, exp, coeff)
-        else:
-            lexp, lc, g = hit
-            factor = MPoly.monomial(work.nvars, _exp_sub(exp, lexp), Fraction(coeff) / Fraction(lc))
-            work = work - factor * g
+            # every term added later lies below exp in the monomial order
+            rem[exp] = coeff
+            continue
+        lexp, lc, tail = hit
+        q = Fraction(coeff) / lc
+        shift = _exp_sub(exp, lexp)
+        for e, c in tail:
+            e = tuple(x + y for x, y in zip(e, shift))
+            c = work.get(e, 0) - q * c
+            if c:
+                work[e] = c
+                if e not in rank:
+                    rank[e] = key(e)
+            else:
+                del work[e]
     return MPoly(f.nvars, rem)
 
 

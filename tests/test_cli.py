@@ -562,6 +562,20 @@ def test_ring_explicit_constants(tmp_path, capsys):
     assert json.loads(out)["elements"][0]["regular_shift"] == 2
 
 
+def test_ring_builds_each_element_matrix_once(tmp_path, capsys, monkeypatch):
+    # one multiplication matrix and one characteristic polynomial per element;
+    # the norm is |chi(0)|, so no determinant is taken
+    mats = count_calls(monkeypatch, cli.act_matrix)
+    charpolys = count_calls(monkeypatch, matrices.charpoly)
+    dets = count_det_calls(monkeypatch)
+    doc = {"schema": 1, "preset": "Zi", "elements": [[1, 1], [0, 0], [-1, 0]]}
+    code, out, _ = run_cli(capsys, ["ring", write(tmp_path, "ring.json", doc), "--json"])
+    assert code == 0
+    rows = json.loads(out)["elements"]
+    assert [(e["norm"], e["regular"], e["regular_shift"]) for e in rows] == [(2, True, 1), (0, False, 1), (1, True, 2)]
+    assert (len(mats), len(charpolys), len(dets)) == (3, 3, 0)
+
+
 def test_ring_unknown_preset(tmp_path, capsys):
     path = write(tmp_path, "ring.json", {"schema": 1, "preset": "nope"})
     code, _, err = run_cli(capsys, ["ring", path])

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algact import cli
 from algact.actions import AlgebraicAction
@@ -11,8 +12,10 @@ from algact.polynomials import Poly, cyclotomic_split, unit_factor_exactness
 from algact.polyring import (
     DEGREVLEX,
     LEX,
+    ORDERS,
     MPoly,
     PolyParseError,
+    _divides,
     buchberger,
     commalg_conditions,
     is_zero_dimensional,
@@ -142,6 +145,49 @@ def test_normal_form_is_linear_projection():
     nf = lambda h: normal_form(h, gb, key)
     assert nf(f + g) == nf(f) + nf(g)
     assert nf(nf(f)) == nf(f)
+
+
+def test_normal_form_builds_one_mpoly(monkeypatch):
+    # the working polynomial is one term dict reduced in place, so only the
+    # remainder goes through the MPoly constructor, however many steps the
+    # division takes (ten here)
+    names = ["u", "v"]
+    gb = buchberger([P("u^2-2", names), P("v^2-u-3", names)])
+    f = P("u^3*v^2 + 2*u^2*v - v^3 + 1", names)
+    calls = 0
+    real_init = MPoly.__init__
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(MPoly, "__init__", counting)
+    nf = normal_form(f, gb, order_key(DEGREVLEX))
+    assert calls == 1
+    assert nf.format(names) == "-u*v + 6*u + v + 5"
+
+
+@st.composite
+def division_inputs(draw):
+    """(f, basis, order): 1-3 variables, integer and rational coefficients;
+    the basis need not be a Groebner basis and may hold zero polynomials."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+    mpolys = st.dictionaries(exps, coeffs, max_size=6).map(lambda terms: MPoly(nvars, terms))
+    return draw(mpolys), draw(st.lists(mpolys, max_size=4)), draw(st.sampled_from(ORDERS))
+
+
+@given(division_inputs())
+@settings(max_examples=150, deadline=None)
+def test_normal_form_is_reduced_and_idempotent(case):
+    f, basis, order = case
+    key = order_key(order)
+    nf = normal_form(f, basis, key)
+    leads = [g.leading(key)[0] for g in basis if not g.is_zero()]
+    assert not any(_divides(le, e) for e in nf.terms for le in leads)
+    assert normal_form(nf, basis, key) == nf
 
 
 def test_buchberger_nontrivial_spair():
