@@ -83,6 +83,10 @@ def _read_document(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"malformed JSON in {path}: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts (Python 3.11+);
+        # the message's advice to raise the limit is for programmers, so it is cut
+        raise SchemaError("", f"unreadable number in {path}: {str(exc).split(';')[0]}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("", "top-level JSON object expected")
     schema = doc.get("schema", 1)

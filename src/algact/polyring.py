@@ -265,7 +265,10 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             raise PolyParseError(message, self.pos)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # longer than the interpreter converts (Python 3.11+)
+            raise PolyParseError(f"integer literal of {self.pos - start} digits is too long", start) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +328,9 @@ def normal_form(f: MPoly, basis, key) -> MPoly:
     return MPoly(f.nvars, rem)
 
 
-def s_polynomial(f: MPoly, g: MPoly, key) -> MPoly:
-    ef, cf = f.leading(key)
-    eg, cg = g.leading(key)
+def s_polynomial(f: MPoly, ef, g: MPoly, eg) -> MPoly:
+    """S-polynomial of f and g, given their leading exponents ef and eg."""
+    cf, cg = f.terms[ef], g.terms[eg]
     lcm = _exp_lcm(ef, eg)
     mf = MPoly.monomial(f.nvars, _exp_sub(lcm, ef), Fraction(1) / Fraction(cf))
     mg = MPoly.monomial(g.nvars, _exp_sub(lcm, eg), Fraction(1) / Fraction(cg))
@@ -346,30 +349,29 @@ def buchberger(gens, order: str = DEGREVLEX) -> list[MPoly]:
         raise ValueError("need at least one nonzero generator")
     key = order_key(order)
     basis = [g.monic(key) for g in gens]
+    leads = [g.leading(key)[0] for g in basis]  # computed once per member, as it joins
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
-    def lead(i):
-        return basis[i].leading(key)[0]
-
     while pairs:
-        i, j = min(pairs, key=lambda p: key(_exp_lcm(lead(p[0]), lead(p[1]))))
+        i, j = min(pairs, key=lambda p: key(_exp_lcm(leads[p[0]], leads[p[1]])))
         pairs.discard((i, j))
-        li, lj = lead(i), lead(j)
+        li, lj = leads[i], leads[j]
         lcm = _exp_lcm(li, lj)
         if lcm == tuple(x + y for x, y in zip(li, lj)):
             continue  # coprime leading terms
         if any(
             k != i and k != j
-            and _divides(lead(k), lcm)
+            and _divides(lk, lcm)
             and (min(i, k), max(i, k)) not in pairs
             and (min(j, k), max(j, k)) not in pairs
-            for k in range(len(basis))
+            for k, lk in enumerate(leads)
         ):
             continue  # chain criterion
-        rem = normal_form(s_polynomial(basis[i], basis[j], key), basis, key)
+        rem = normal_form(s_polynomial(basis[i], li, basis[j], lj), basis, key)
         if rem.is_zero():
             continue
         basis.append(rem.monic(key))
+        leads.append(basis[-1].leading(key)[0])
         new = len(basis) - 1
         pairs.update((k, new) for k in range(new))
     return _autoreduce(basis, key)

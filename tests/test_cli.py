@@ -504,6 +504,32 @@ def test_polyideal_zero_generator(tmp_path, capsys):
     assert "/gens" in err
 
 
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer string conversion"
+)
+
+
+@needs_int_digit_limit
+def test_oversized_json_integer_is_an_input_error(tmp_path, capsys):
+    # json.loads refuses the literal with a ValueError that is not a JSONDecodeError
+    path = tmp_path / "ideal.json"
+    path.write_text('{"schema": 1, "vars": ["u"], "gens": ["u^2-2"], "extra": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["polyideal", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "digits" in err
+
+
+@needs_int_digit_limit
+def test_oversized_polynomial_literal_is_a_parse_error(tmp_path, capsys):
+    doc = {"schema": 1, "vars": ["u"], "gens": ["u^2-" + "9" * 5000]}
+    code, out, err = run_cli(capsys, ["polyideal", write(tmp_path, "ideal.json", doc)])
+    assert code == 2 and out == ""
+    assert "/gens/0" in err and "offset 4" in err
+    with pytest.raises(polyring.PolyParseError) as info:
+        polyring.parse_poly("u + " + "9" * 5000, ["u"])
+    assert info.value.offset == 4
+
+
 def test_polyideal_computes_one_groebner_basis(tmp_path, capsys, monkeypatch):
     calls = []
     real = polyring.buchberger

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algact import cli
+from algact import cli, polyring
 from algact.actions import AlgebraicAction
 from algact.matrices import Matrix
 from algact.polynomials import Poly, cyclotomic_split, unit_factor_exactness
@@ -205,6 +205,54 @@ def test_groebner_basis_is_canonical():
     assert gb_a == gb_b
 
 
+@pytest.mark.parametrize(
+    "gens, names, order",
+    [
+        (["u^2*v - 2", "u*v^2 - u - 1"], ["u", "v"], DEGREVLEX),
+        (["u*v - w^2", "v*w - u", "u^2 - v - 1"], ["u", "v", "w"], DEGREVLEX),
+        (["u^3 - v*w", "v^2 - u - w", "u*w - v^2 + 1"], ["u", "v", "w"], LEX),
+    ],
+)
+def test_buchberger_computes_each_leading_term_once(monkeypatch, gens, names, order):
+    # Outside normal_form and _autoreduce, which divide by the basis they are
+    # given, no polynomial has its leading term computed twice.
+    gens = [P(g, names) for g in gens]
+    counts = {}  # id -> [polynomial, count]; the polynomial keeps the id taken
+    inside = []
+    real_leading = MPoly.leading
+
+    def leading(self, key):
+        if not inside:
+            counts.setdefault(id(self), [self, 0])[1] += 1
+        return real_leading(self, key)
+
+    def excluded(fn):
+        def run(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return run
+
+    calls = []
+    real_normal_form = polyring.normal_form
+
+    def counting_normal_form(*args):
+        calls.append(args)
+        return real_normal_form(*args)
+
+    monkeypatch.setattr(MPoly, "leading", leading)
+    monkeypatch.setattr(polyring, "normal_form", excluded(counting_normal_form))
+    monkeypatch.setattr(polyring, "_autoreduce", excluded(polyring._autoreduce))
+    gb = buchberger(gens, order)
+    monkeypatch.undo()
+    assert gb == buchberger(gens, order)
+    assert len(calls) > len(gb) + 2  # S-pairs were reduced, not only autoreduced
+    assert max(n for _, n in counts.values()) == 1
+
+
 def test_all_spairs_of_result_reduce_to_zero():
     # Definitive Groebner-basis property, checked post hoc on random ideals.
     from algact.polyring import s_polynomial
@@ -227,7 +275,7 @@ def test_all_spairs_of_result_reduce_to_zero():
             gb = buchberger(gens, order)
             key = order_key(order)
             for a, b in itertools.combinations(gb, 2):
-                assert normal_form(s_polynomial(a, b, key), gb, key).is_zero()
+                assert normal_form(s_polynomial(a, a.leading(key)[0], b, b.leading(key)[0]), gb, key).is_zero()
 
 
 def test_order_invariant_outputs():
