@@ -67,14 +67,6 @@ class AlgebraicAction:
     def matrices(self) -> tuple[Matrix, ...]:
         return tuple(mat for _, mat in self.gens)
 
-    def matrix(self, key) -> Matrix:
-        if isinstance(key, int):
-            return self.gens[key][1]
-        for name, mat in self.gens:
-            if name == key:
-                return mat
-        raise KeyError(key)
-
     def __repr__(self) -> str:
         kind = self.monoid_kind
         return f"AlgebraicAction(n={self.n}, gens={list(self.names)}, {kind})"
@@ -104,7 +96,8 @@ def check_standing(action: AlgebraicAction, word_bound: int = 6) -> StandingRepo
     generators suffices, since images of finite-index subgroups compose).
     Faithfulness is pairwise distinctness of the generator matrices; for a
     free-abelian monoid it is additionally multiplicative independence,
-    tested up to the word bound.
+    tested up to the word bound.  The constructor has already proved that
+    the generators of a free-abelian action commute.
     """
     dets = {name: mat.det() for name, mat in action.gens}
     fi = all(d != 0 for d in dets.values())
@@ -112,7 +105,9 @@ def check_standing(action: AlgebraicAction, word_bound: int = 6) -> StandingRepo
     mats = action.matrices
     faithful = len(set(mats)) == len(mats)
     note = "pairwise distinct generator matrices"
-    commuting = all(a * b == b * a for a, b in itertools.combinations(mats, 2))
+    commuting = action.monoid_kind == FREE_ABELIAN or all(
+        a * b == b * a for a, b in itertools.combinations(mats, 2)
+    )
     if action.monoid_kind == FREE_ABELIAN and faithful:
         ident = Matrix.identity(action.n)
         relation = next((pairs for pairs, mat in _word_matrices(action, word_bound) if mat == ident), None)
@@ -161,7 +156,6 @@ class ConstructibleFamily:
     """
 
     action: AlgebraicAction
-    depth: int
     lattices: tuple[Lattice, ...]
     saturated: bool
     derivations: dict[Lattice, tuple]
@@ -169,15 +163,6 @@ class ConstructibleFamily:
 
     def indices(self) -> list[int]:
         return sorted(lat.index() for lat in self.lattices)
-
-    def inclusion_pairs(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with lattice i strictly contained in lattice j."""
-        out = []
-        for i, a in enumerate(self.lattices):
-            for j, b in enumerate(self.lattices):
-                if i != j and b.contains_lattice(a):
-                    out.append((i, j))
-        return out
 
     def __contains__(self, lat: Lattice) -> bool:
         return lat in self.derivations
@@ -209,7 +194,7 @@ def constructible_family(action: AlgebraicAction, depth: int) -> ConstructibleFa
         saturated = all(lat in derivations for lat, _ in _candidates(action, rounds[-1], older))
     ordered = sorted(derivations, key=lambda lat: (lat.index(), lat.basis.flat()))
     derivations = {lat: derivations[lat] for lat in ordered}
-    return ConstructibleFamily(action, depth, tuple(ordered), saturated, derivations, tuple(rounds))
+    return ConstructibleFamily(action, tuple(ordered), saturated, derivations, tuple(rounds))
 
 
 def _candidates(action, frontier, older):
@@ -223,23 +208,6 @@ def _candidates(action, frontier, older):
     for i, a in enumerate(frontier):
         for b in itertools.chain(frontier[i + 1 :], older):
             yield intersect(a, b), ("intersect", a, b)
-
-
-def replay_derivation(family: ConstructibleFamily, lat: Lattice) -> Lattice:
-    """Recompute a family member from its recorded derivation."""
-    kind, *rest = family.derivations[lat]
-    if kind == "ambient":
-        return Lattice.standard(family.action.n)
-    if kind == "image":
-        name, parent = rest
-        return image(family.action.matrix(name), replay_derivation(family, parent))
-    if kind == "preimage":
-        name, parent = rest
-        return preimage(family.action.matrix(name), replay_derivation(family, parent))
-    if kind == "intersect":
-        a, b = rest
-        return intersect(replay_derivation(family, a), replay_derivation(family, b))
-    raise ValueError(f"unknown derivation {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +300,6 @@ class SFReport:
     status: str  # "holds" | "fails" | "inconclusive"
     witness_exponents: tuple[int, ...] | None
     detail: str
-
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds"
 
 
 def check_SF_via_det(action: AlgebraicAction) -> SFReport:

@@ -66,7 +66,6 @@ class LevelMap:
     """The injection (Z^n / s^{-1}C) -> (Z^n / C) induced by a matrix s."""
 
     source: QuotientLevel
-    target: QuotientLevel
     table: dict[tuple, tuple]
     image_index: int
 
@@ -105,7 +104,7 @@ def level_map(mat: Matrix, target: QuotientLevel) -> LevelMap:
     im_index = lattice_sum(image(mat, Lattice.standard(n)), level).index()
     if len(table) * im_index != level.index():
         raise ArithmeticError("level map image has the wrong index")
-    return LevelMap(source, target, table, im_index)
+    return LevelMap(source, table, im_index)
 
 
 def translation_orbit_size(level: Lattice) -> int:

@@ -5,7 +5,7 @@ are equal as subgroups exactly when their `basis` matrices are equal.  Only
 full-rank lattices are representable; constructors reject anything else.
 
 QuotientLevel materializes one finite stage Z^n / L with its cyclic
-decomposition and canonical coset representatives (`reduce`).
+decomposition and canonical coset representatives (`from_cyclic`).
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ class Lattice:
         return cls(Matrix.identity(n))
 
     @classmethod
-    def scaled(cls, n: int, k: int) -> "Lattice":
-        """k * Z^n."""
-        return cls(Matrix.identity(n) * k)
-
-    @classmethod
     def from_generators(cls, n: int, vectors) -> "Lattice":
         """Lattice generated by the given integer vectors; must have rank n."""
         vectors = [tuple(v) for v in vectors]
@@ -74,25 +69,6 @@ class Lattice:
     def index(self) -> int:
         """#(Z^n / L), the product of the Hermite pivots."""
         return prod(self.basis[i, i] for i in range(self.n))
-
-    def member(self, x) -> bool:
-        """Is the integer vector x in the lattice?"""
-        x = list(x)
-        if len(x) != self.n:
-            raise ValueError("vector length mismatch")
-        # Clear x column by column with the triangular basis rows.
-        for j, row in enumerate(self.basis.entries()):
-            q, rem = divmod(x[j], row[j])
-            if rem:
-                return False
-            if q:
-                x = [a - q * b for a, b in zip(x, row)]
-        return True
-
-    def contains_lattice(self, other: "Lattice") -> bool:
-        if other.n != self.n:
-            raise ValueError("ambient ranks differ")
-        return all(self.member(other.basis.row(i)) for i in range(self.n))
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -173,9 +149,9 @@ class QuotientLevel:
     """The finite group Z^n / L in cyclic coordinates.
 
     `factors` is the Smith chain d1 | d2 | ... | dn with product = index(L).
-    `to_cyclic` maps x to its coordinates in ⊕ Z/d_i; `reduce` returns the
-    canonical representative of x + L (the unique one whose cyclic
-    coordinates lie in [0, d_i)).
+    `to_cyclic` maps x to its coordinates in ⊕ Z/d_i; `from_cyclic` returns
+    the canonical representative of a coset from its coordinates (the
+    unique one whose cyclic coordinates lie in [0, d_i)).
     """
 
     lattice: Lattice
@@ -190,9 +166,6 @@ class QuotientLevel:
     def from_cyclic(self, coords) -> tuple[int, ...]:
         coords = tuple(c % d for c, d in zip(coords, self.factors))
         return self._v_inv.apply_row(coords)
-
-    def reduce(self, x) -> tuple[int, ...]:
-        return self.from_cyclic(self.to_cyclic(x))
 
     def size(self) -> int:
         return prod(self.factors)

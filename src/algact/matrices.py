@@ -44,17 +44,6 @@ class Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, r: int, c: int | None = None) -> "Matrix":
-        c = r if c is None else c
-        return cls([[0] * c for _ in range(r)])
-
-    @classmethod
-    def diagonal(cls, diag) -> "Matrix":
-        diag = list(diag)
-        n = len(diag)
-        return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_flat(cls, r: int, c: int, flat) -> "Matrix":
         flat = list(flat)
         if len(flat) != r * c:
@@ -156,11 +145,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self._e)))
 
-    def trace(self):
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self._e[i][i] for i in range(self.rows))
-
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square:
             raise ValueError("power of a non-square matrix")
@@ -200,11 +184,6 @@ class Matrix:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
         return Matrix([row[n:] for row in a])
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return Matrix(list(self._e) + list(other._e))
 
     # -- plumbing -------------------------------------------------------------
 

@@ -8,6 +8,7 @@ tests lean on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .actions import FREE, FREE_ABELIAN, AlgebraicAction
@@ -145,22 +146,15 @@ def regular_shift(ring: StructureRing, a, *, chi=None) -> int:
 
 def action_from_ring(ring: StructureRing, generators, names=None) -> AlgebraicAction:
     """The algebraic action of the given regular ring elements by left
-    multiplication, bridging into the action/level/invariant pipelines."""
-    _require_valid(ring)
-    generators = [tuple(g) for g in generators]
+    multiplication, bridging into the action/level/invariant pipelines.  The
+    action is free-abelian when the generators commute pairwise; the
+    AlgebraicAction constructor rejects an element that is not regular."""
+    mats = [act_matrix(ring, g) for g in generators]
     if names is None:
-        names = [f"a{i}" for i in range(len(generators))]
-    mats = []
-    for name, g in zip(names, generators):
-        m = act_matrix(ring, g)
-        if m.det() == 0:
-            raise ValueError(f"generator {name!r} is not regular")
-        mats.append((name, m))
-    commuting = all(
-        a * b == b * a for _, a in mats for _, b in mats
-    )
+        names = [f"a{i}" for i in range(len(mats))]
+    commuting = all(a * b == b * a for a, b in itertools.combinations(mats, 2))
     kind = FREE_ABELIAN if commuting else FREE
-    return AlgebraicAction(ring.n, mats, kind)
+    return AlgebraicAction(ring.n, zip(names, mats), kind)
 
 
 def has_scalar_generator(ring: StructureRing, generators) -> bool:

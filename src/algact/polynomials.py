@@ -36,16 +36,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -145,9 +135,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return not self.is_zero() and (other % self).is_zero()
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -160,13 +147,6 @@ class Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def is_squarefree(self) -> bool:
-        g = self.gcd(self.derivative())
-        return g.degree <= 0
 
     def __call__(self, x):
         out = 0

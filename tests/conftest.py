@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -43,10 +44,23 @@ def companion(*coeffs) -> Matrix:
 
 def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
     """p(M) by Horner's rule: the Cayley-Hamilton oracle for charpoly."""
-    out = Matrix.zero(m.rows, m.cols)
+    out = m * 0
     for c in reversed(p.coeffs):
         out = out * m + Matrix.identity(m.rows) * c
     return out
+
+
+@functools.cache
+def adjugate(m: Matrix) -> Matrix:
+    return m.inverse() * m.det()
+
+
+def ref_member(basis: Matrix, x) -> bool:
+    """Is the integer vector x in the lattice with this basis?  x adj(B) is
+    det(B) times the coordinates of x in the rows of B."""
+    det = basis.det()
+    adj = adjugate(basis)
+    return all(sum(x[i] * adj[i, j] for i in range(basis.rows)) % det == 0 for j in range(basis.rows))
 
 
 def block_diagonal(*blocks: Matrix) -> Matrix:

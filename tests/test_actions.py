@@ -1,3 +1,4 @@
+import itertools
 from math import gcd
 
 import pytest
@@ -14,12 +15,11 @@ from algact.actions import (
     check_standing,
     constructible_family,
     exactness,
-    replay_derivation,
 )
-from algact.lattices import Lattice
+from algact.lattices import Lattice, image, intersect, preimage
 from algact.matrices import Matrix, charpoly
 from algact.polynomials import cyclotomic_split
-from algact.presets import doubling, doubling_tripling, fibonacci
+from algact.presets import EXAMPLE_ACTIONS, doubling, doubling_tripling, fibonacci
 
 from conftest import random_nonsingular
 
@@ -57,7 +57,7 @@ def test_standing_known_cases():
     rep = check_standing(doubling())
     assert rep.fi_holds and rep.non_automorphic and rep.faithful_on_generators
 
-    minus_i = AlgebraicAction(2, [("s", Matrix.diagonal([-1, -1]))])
+    minus_i = AlgebraicAction(2, [("s", Matrix([[-1, 0], [0, -1]]))])
     rep2 = check_standing(minus_i)
     assert rep2.fi_holds and not rep2.non_automorphic
 
@@ -142,21 +142,32 @@ def test_family_monotone_and_members_pass_fi(rng):
 
 
 def test_family_replay_derivations():
-    fam = constructible_family(scalar_action(6, 10), 2)
-    for lat in fam.lattices:
-        assert replay_derivation(fam, lat) == lat
+    # Each recorded step rebuilds its member from members, so every member
+    # derives from the ambient lattice.
+    for action, depth in [(scalar_action(6, 10), 2), *((factory(), 5) for factory in EXAMPLE_ACTIONS.values())]:
+        fam = constructible_family(action, depth)
+        mats = dict(action.gens)
+        for lat, (kind, *rest) in fam.derivations.items():
+            if kind == "ambient":
+                assert lat == Lattice.standard(action.n)
+            elif kind == "intersect":
+                assert all(parent in fam for parent in rest) and intersect(*rest) == lat
+            else:
+                name, parent = rest
+                step = {"image": image, "preimage": preimage}[kind]
+                assert parent in fam and step(mats[name], parent) == lat
 
 
 def test_family_inclusion_divisibility():
     fam = constructible_family(doubling_tripling(), 2)
-    lats = fam.lattices
-    for i, j in fam.inclusion_pairs():
-        # lattice i inside lattice j: index(j) divides index(i)
-        assert lats[i].index() % lats[j].index() == 0
+    for a, b in itertools.permutations(fam.lattices, 2):
+        if intersect(a, b) == a:
+            # a inside b: index(b) divides index(a)
+            assert a.index() % b.index() == 0
 
 
 def test_index_set_scalar_matrix():
-    a = AlgebraicAction(2, [("p", Matrix.diagonal([3, 3]))])
+    a = AlgebraicAction(2, [("p", Matrix([[3, 0], [0, 3]]))])
     assert cli.analyze_action(a, 1, 1)["family"]["index_set"] == [1, 9]
 
 
@@ -207,19 +218,19 @@ def test_free_monoid_words_checked():
 
 
 def test_sf_known_cases():
-    assert check_SF_via_det(scalar_action(2, 3)).holds
+    assert check_SF_via_det(scalar_action(2, 3)).status == "holds"
 
     rep = check_SF_via_det(scalar_action(2, 4))
     assert rep.status == "fails"
     k = rep.witness_exponents
     assert k is not None and 2 ** k[0] * 4 ** k[1] == 1
 
-    assert check_SF_via_det(scalar_action(6, 10, 15)).holds
+    assert check_SF_via_det(scalar_action(6, 10, 15)).status == "holds"
 
 
 def test_sf_large_prime_determinant():
     # 1000000000039 is a prime above the default trial-division bound squared
-    assert check_SF_via_det(scalar_action(2 * 1000000000039, 3)).holds
+    assert check_SF_via_det(scalar_action(2 * 1000000000039, 3)).status == "holds"
     rep = check_SF_via_det(scalar_action(1000003 * 1000033, 3))
     assert rep.status == "inconclusive"
 
@@ -270,7 +281,7 @@ def test_exactness_doubling():
 
 
 def test_exactness_diag21():
-    action = AlgebraicAction(2, [("s", Matrix.diagonal([2, 1]))])
+    action = AlgebraicAction(2, [("s", Matrix([[2, 0], [0, 1]]))])
     rep = exactness(constructible_family(action, 4))
     assert rep.verdict == "not_exact" and rep.decided
     assert rep.criterion["cyclotomic_divisor"] == 1
@@ -297,7 +308,7 @@ def test_word_evaluation():
         for pairs, mat in _word_matrices(action, 3):
             expected = Matrix.identity(1)
             for i, e in pairs:
-                expected = expected * action.matrix(i) ** e
+                expected = expected * action.matrices[i] ** e
             assert mat == expected and all(e for _, e in pairs)
     assert _describe(((0, 2), (1, 1)), ("s", "t")) == "s^2 t"
     assert _describe(((1, -1), (0, 1)), ("s", "t")) == "t^-1 s"

@@ -21,11 +21,11 @@ def faddeev_leverrier(m: Matrix) -> Poly:
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     a = m
-    c = -Fraction(a.trace())
+    c = -Fraction(sum(a[i, i] for i in range(n)))
     coeffs[n - 1] = c
     for k in range(2, n + 1):
         a = m * (a + Matrix.identity(n) * c)
-        c = -Fraction(a.trace()) / k
+        c = -Fraction(sum(a[i, i] for i in range(n))) / k
         coeffs[n - k] = c
     return Poly(coeffs)
 
@@ -70,7 +70,7 @@ def jordan(value, size: int) -> Matrix:
 STRUCTURED = {
     "scalar": Matrix.identity(6) * -3,
     "scalar_fraction": Matrix.identity(4) * Fraction(2, 3),
-    "zero": Matrix.zero(5),
+    "zero": Matrix.identity(5) * 0,
     "one_by_one": Matrix([[7]]),
     "one_by_one_fraction": Matrix([[Fraction(-5, 4)]]),
     "one_by_one_zero": Matrix([[0]]),

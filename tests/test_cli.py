@@ -617,6 +617,14 @@ def test_ring_invalid_constants_with_elements_is_input_error(tmp_path, capsys):
     assert "/elements/0" in err and "invalid structure ring" in err
 
 
+def test_ring_zero_divisor_generator_is_input_error(tmp_path, capsys):
+    # e11 in M2(Z) is a zero divisor: its multiplication matrix is singular.
+    doc = {"schema": 1, "preset": "M2Z", "generators": [[1, 0, 0, 0]]}
+    code, out, err = run_cli(capsys, ["ring", write(tmp_path, "ring.json", doc)])
+    assert code == 2 and out == ""
+    assert "/generators" in err and "'a0' is singular" in err
+
+
 @pytest.mark.parametrize("field", ["elements", "generators"])
 def test_ring_non_array_field_is_input_error(tmp_path, capsys, field):
     doc = {"schema": 1, "preset": "Zi", field: 5}

@@ -9,7 +9,7 @@ from algact.lattices import Lattice, preimage, quotient
 from algact.matrices import Matrix
 from algact.presets import EXAMPLE_ACTIONS, doubling
 
-from conftest import random_nonsingular
+from conftest import block_diagonal, random_nonsingular
 from test_level_reference import reference_translation_orbit
 
 
@@ -58,19 +58,19 @@ def test_sd_singular_rejected():
 
 
 def test_level_map_doubling_mod4():
-    lm = level_map(Matrix([[2]]), quotient(Lattice.scaled(1, 4)))
+    lm = level_map(Matrix([[2]]), quotient(Lattice(Matrix([[4]]))))
     assert lm.table == {(0,): (0,), (1,): (2,)}
     assert lm.image_index == 2
 
 
 def test_level_map_identity_word():
-    lm = level_map(Matrix.identity(1), quotient(Lattice.scaled(1, 4)))
+    lm = level_map(Matrix.identity(1), quotient(Lattice(Matrix([[4]]))))
     assert all(src == dst for src, dst in lm.table.items())
     assert lm.image_index == 1
 
 
 def test_level_map_tripling_mod4_bijective():
-    lm = level_map(Matrix([[3]]), quotient(Lattice.scaled(1, 4)))
+    lm = level_map(Matrix([[3]]), quotient(Lattice(Matrix([[4]]))))
     assert sorted(lm.table) == [(0,), (1,), (2,), (3,)]
     assert sorted(lm.table.values()) == [(0,), (1,), (2,), (3,)]
     assert lm.image_index == 1
@@ -78,7 +78,7 @@ def test_level_map_tripling_mod4_bijective():
 
 def test_level_map_rejects_group_words():
     # a negative power of the doubling is the non-integer matrix (1/2)
-    target = quotient(Lattice.scaled(1, 4))
+    target = quotient(Lattice(Matrix([[4]])))
     with pytest.raises(ValueError, match="integer matrix required"):
         level_map(Matrix([[2]]).inverse(), target)
     with pytest.raises(ValueError, match="does not act"):
@@ -86,8 +86,8 @@ def test_level_map_rejects_group_words():
 
 
 def level_actions_for_groupoid_axiom(rng):
-    yield doubling(), Lattice.scaled(1, 8)
-    yield AlgebraicAction(1, [("s", Matrix([[2]])), ("t", Matrix([[3]]))]), Lattice.scaled(1, 12)
+    yield doubling(), Lattice(Matrix([[8]]))
+    yield AlgebraicAction(1, [("s", Matrix([[2]])), ("t", Matrix([[3]]))]), Lattice(Matrix([[12]]))
     yield AlgebraicAction(2, [("s", Matrix([[0, 1], [2, 0]]))]), Lattice.from_generators(
         2, [(4, 0), (0, 4)]
     )
@@ -97,7 +97,7 @@ def test_level_map_composition_is_functorial(rng):
     # level_map(s, C) after level_map(t, s^{-1}C) equals level_map(st, C)
     for action, level in level_actions_for_groupoid_axiom(rng):
         for i, j in itertools.product(range(len(action.gens)), repeat=2):
-            ms, mt = action.matrix(i), action.matrix(j)
+            ms, mt = action.matrices[i], action.matrices[j]
             outer = level_map(ms, quotient(level))
             inner = level_map(mt, quotient(preimage(ms, level)))
             combined = level_map(ms * mt, quotient(level))
@@ -108,7 +108,7 @@ def test_level_map_composition_is_functorial(rng):
 def test_level_map_injective_and_index_identity(rng):
     for action, level in level_actions_for_groupoid_axiom(rng):
         for i in range(len(action.gens)):
-            lm = level_map(action.matrix(i), quotient(level))
+            lm = level_map(action.matrices[i], quotient(level))
             values = list(lm.table.values())
             assert len(values) == len(set(values))
             assert len(values) * lm.image_index == level.index()
@@ -118,8 +118,8 @@ def test_level_map_injective_and_index_identity(rng):
 
 
 def test_orbit_known_cases():
-    assert reference_translation_orbit(Lattice.scaled(1, 4), (1,)) == {(0,), (1,), (2,), (3,)}
-    assert translation_orbit_size(Lattice.scaled(1, 4)) == 4
+    assert reference_translation_orbit(Lattice(Matrix([[4]])), (1,)) == {(0,), (1,), (2,), (3,)}
+    assert translation_orbit_size(Lattice(Matrix([[4]]))) == 4
 
     lat = Lattice.from_generators(2, [(1, 1), (0, 2)])
     assert len(reference_translation_orbit(lat, (0, 0))) == 2
@@ -130,7 +130,7 @@ def test_orbit_covers_random_levels(rng):
     for _ in range(20):
         n = rng.randint(1, 3)
         diag = [rng.randint(1, 4) for _ in range(n)]
-        lat = Lattice(Matrix.diagonal(diag))
+        lat = Lattice(block_diagonal(*(Matrix([[d]]) for d in diag)))
         start = tuple(rng.randint(-5, 5) for _ in range(n))
         assert len(reference_translation_orbit(lat, start)) == translation_orbit_size(lat) == lat.index()
 
@@ -146,7 +146,7 @@ def test_word_identity_doubling():
 
 def test_word_identity_fibonacci():
     fib = EXAMPLE_ACTIONS["fibonacci"]()
-    rep = verify_word_identity("s", fib.matrix(0))
+    rep = verify_word_identity("s", fib.matrices[0])
     assert rep.kappas == (1, 1, 1) and rep.samples_checked == 3
     assert rep.all_hold
 

@@ -3,8 +3,7 @@ they replaced, kept here as the reference.
 
 The reference meet takes the left kernel of [B1; -B2] and a second Hermite
 form; the reference preimage goes through the rational adjugate of M, a meet
-with det(M) Z^n and a division; the reference index is a determinant and the
-reference membership test multiplies by the adjugate of the basis.  Every
+with det(M) Z^n and a division; the reference index is a determinant.  Every
 reference function works on basis matrices and returns the canonical Hermite
 basis, so results compare as matrices.
 """
@@ -19,7 +18,7 @@ from algact.lattices import Lattice, image, intersect, preimage
 from algact.matrices import Matrix, hnf, left_kernel_int
 from algact.presets import EXAMPLE_ACTIONS
 
-from conftest import random_nonsingular
+from conftest import adjugate, random_nonsingular
 
 
 def hermite_basis(n, rows) -> Matrix:
@@ -28,13 +27,9 @@ def hermite_basis(n, rows) -> Matrix:
     return Matrix([h.row(i) for i in range(n)])
 
 
-def adjugate(m: Matrix) -> Matrix:
-    return m.inverse() * m.det()
-
-
 def ref_intersect(b1: Matrix, b2: Matrix) -> Matrix:
     n = b1.rows
-    rows = [b1.apply_row(vec[:n]) for vec in left_kernel_int(b1.stack(-b2))]
+    rows = [b1.apply_row(vec[:n]) for vec in left_kernel_int(Matrix(b1.entries() + (-b2).entries()))]
     return hermite_basis(n, rows)
 
 
@@ -54,31 +49,6 @@ def ref_index(basis: Matrix) -> int:
     return abs(basis.det())
 
 
-def ref_member(basis: Matrix, x) -> bool:
-    det = basis.det()
-    adj = adjugate(basis)
-    return all(sum(x[i] * adj[i, j] for i in range(basis.rows)) % det == 0 for j in range(basis.rows))
-
-
-def probe_vectors(rng, lat: Lattice, count=6):
-    """Random vectors, half of them lattice points."""
-    n = lat.n
-    out = [tuple(rng.randint(-8, 8) for _ in range(n)) for _ in range(count)]
-    for _ in range(count):
-        coeffs = [rng.randint(-3, 3) for _ in range(n)]
-        out.append(lat.basis.apply_row(coeffs))
-    return out
-
-
-def check_queries(rng, lat: Lattice, others):
-    assert lat.index() == ref_index(lat.basis)
-    for x in probe_vectors(rng, lat):
-        assert lat.member(x) == ref_member(lat.basis, x), (lat, x)
-    for other in others:
-        expected = all(ref_member(lat.basis, other.basis.row(i)) for i in range(lat.n))
-        assert lat.contains_lattice(other) == expected
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_random_lattices_match_reference(n):
     rng = random.Random(7000 + n)
@@ -89,17 +59,16 @@ def test_random_lattices_match_reference(n):
         assert intersect(l1, l2).basis == ref_intersect(l1.basis, l2.basis)
         assert preimage(m, l1).basis == ref_preimage(m, l1.basis)
         assert image(m, l1).basis == ref_image(m, l1.basis)
-        check_queries(rng, l1, [l2, intersect(l1, l2)])
+        assert l1.index() == ref_index(l1.basis)
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_ACTIONS))
 def test_preset_families_match_reference(name):
-    rng = random.Random(name)
     action = EXAMPLE_ACTIONS[name]()
     for depth in range(5):
         lattices = constructible_family(action, depth).lattices
         for lat in lattices:
-            check_queries(rng, lat, lattices)
+            assert lat.index() == ref_index(lat.basis)
             for _, mat in action.gens:
                 assert image(mat, lat).basis == ref_image(mat, lat.basis)
                 assert preimage(mat, lat).basis == ref_preimage(mat, lat.basis)

@@ -184,15 +184,15 @@ def test_hnf_recomposition_hypothesis(m):
 
 
 def test_snf_known_cases():
-    s, u, v = snf(Matrix.diagonal([2, 3]))
-    assert s == Matrix.diagonal([1, 6])
-    assert u * Matrix.diagonal([2, 3]) * v == s
+    s, u, v = snf(Matrix([[2, 0], [0, 3]]))
+    assert s == Matrix([[1, 0], [0, 6]])
+    assert u * Matrix([[2, 0], [0, 3]]) * v == s
     assert abs(u.det()) == 1 and abs(v.det()) == 1
 
-    s2, _, _ = snf(Matrix.diagonal([4, 2]))
-    assert s2 == Matrix.diagonal([2, 4])
+    s2, _, _ = snf(Matrix([[4, 0], [0, 2]]))
+    assert s2 == Matrix([[2, 0], [0, 4]])
 
-    zero = Matrix.zero(2)
+    zero = Matrix.identity(2) * 0
     s3, _, _ = snf(zero)
     assert s3 == zero
 
@@ -317,7 +317,7 @@ def test_cayley_hamilton_random(rng):
     for n in range(1, 9):
         m = random_int_matrix(rng, n, 7)
         chi = charpoly(m)
-        assert poly_eval_matrix(chi, m) == Matrix.zero(n)
+        assert poly_eval_matrix(chi, m) == m * 0
     # random rational matrices up to dimension 8
     for n in (2, 3, 5, 8):
         m = Matrix(
@@ -326,7 +326,7 @@ def test_cayley_hamilton_random(rng):
                 for _ in range(n)
             ]
         )
-        assert poly_eval_matrix(charpoly(m), m) == Matrix.zero(n)
+        assert poly_eval_matrix(charpoly(m), m) == m * 0
 
 
 def test_charpoly_non_square():
@@ -388,7 +388,7 @@ def _solve_least_squares_exact(cols, target):
 
 
 def test_invariant_factors_known_cases():
-    assert poly_invariant_factors(Matrix.diagonal([2, 2])) == [Poly((-2, 1)), Poly((-2, 1))]
+    assert poly_invariant_factors(Matrix([[2, 0], [0, 2]])) == [Poly((-2, 1)), Poly((-2, 1))]
 
     jordan = Matrix([[2, 1], [0, 2]])
     factors = poly_invariant_factors(jordan)
@@ -410,7 +410,7 @@ def test_invariant_factors_structure(rng):
             prod = prod * f
         assert prod == faddeev_leverrier(m)
         for a, b in zip(factors, factors[1:]):
-            assert a.divides(b)
+            assert (b % a).is_zero()
         assert factors[-1] == minimal_polynomial_brute(m)
 
 
@@ -427,5 +427,5 @@ def test_companion_shape():
     c = Matrix.companion(Poly((-1, -1, 1)))
     assert c == Matrix([[0, 1], [1, 1]])
     assert is_companion(c)
-    assert not is_companion(Matrix.diagonal([2, 3]))
+    assert not is_companion(Matrix([[2, 0], [0, 3]]))
     assert charpoly(Matrix.companion(Poly((5, 4, -3, 1)))) == Poly((5, 4, -3, 1))

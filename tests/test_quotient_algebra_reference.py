@@ -73,7 +73,7 @@ def old_quotient_algebra(gb, nvars, order):
 
 def old_mult_matrix(var_matrices, f):
     n = var_matrices[0].rows
-    out = Matrix.zero(n)
+    out = Matrix.identity(n) * 0
     for exp, coeff in f.terms.items():
         term = Matrix.identity(n)
         for i, e in enumerate(exp):

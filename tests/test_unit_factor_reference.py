@@ -40,7 +40,7 @@ OLD_UNIT_FACTOR_CAVEAT = (
 def reference_cyclotomic_divisor(f: Poly) -> int | None:
     """The least k with Phi_k | f, or None: the scan the split replaced."""
     return next(
-        (k for k in cyclotomic_indices(max(f.degree, 1)) if cyclotomic(k).divides(f)),
+        (k for k in cyclotomic_indices(max(f.degree, 1)) if (f % cyclotomic(k)).is_zero()),
         None,
     )
 
@@ -88,7 +88,7 @@ def unsaturated_family(action: AlgebraicAction) -> ConstructibleFamily:
     """The depth-0 family marked unsaturated, so `exactness` reaches the
     single-generator criterion for every generator."""
     root = Lattice.standard(action.n)
-    return ConstructibleFamily(action, 0, (root,), False, {root: ("ambient",)}, ((root,),))
+    return ConstructibleFamily(action, (root,), False, {root: ("ambient",)}, ((root,),))
 
 
 def test_polynomial_count():

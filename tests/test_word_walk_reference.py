@@ -25,7 +25,7 @@ from algact.matrices import Matrix, charpoly
 from algact.polynomials import cyclotomic_split
 from algact.presets import EXAMPLE_ACTIONS
 
-from conftest import random_nonsingular
+from conftest import block_diagonal, random_nonsingular
 
 BOUNDS = (0, 1, 3, 6)
 
@@ -88,7 +88,7 @@ def reference_condition_F(action, word_bound):
     for pairs in reference_group_words(action, word_bound):
         mat = ident
         for i, e in pairs:
-            mat = mat * (action.matrix(i) ** e)
+            mat = mat * (action.matrices[i] ** e)
         checked += 1
         if (ident - mat).det() == 0:
             failing = " ".join(action.names[i] if e == 1 else f"{action.names[i]}^{e}" for i, e in pairs)
@@ -143,20 +143,19 @@ SHEAR = Matrix([[1, 1], [0, 1]])
 
 
 def _fixed_actions():
-    d = Matrix.diagonal
     return {
-        "diag22-diag44": _abelian(d([2, 2]), d([4, 4])),
-        "diag-sign-pair": _abelian(d([-1, 1]), d([1, -1])),
-        "diag-sign-triple": _abelian(d([-1, 1]), d([1, -1]), d([2, 2])),
-        "diag2-diag3-diag6": _abelian(d([2]), d([3]), d([6])),
-        "diag21-diag12": _abelian(d([2, 1]), d([1, 2])),
+        "diag22-diag44": _abelian(Matrix([[2, 0], [0, 2]]), Matrix([[4, 0], [0, 4]])),
+        "diag-sign-pair": _abelian(Matrix([[-1, 0], [0, 1]]), Matrix([[1, 0], [0, -1]])),
+        "diag-sign-triple": _abelian(Matrix([[-1, 0], [0, 1]]), Matrix([[1, 0], [0, -1]]), Matrix([[2, 0], [0, 2]])),
+        "diag2-diag3-diag6": _abelian(Matrix([[2]]), Matrix([[3]]), Matrix([[6]])),
+        "diag21-diag12": _abelian(Matrix([[2, 0], [0, 1]]), Matrix([[1, 0], [0, 2]])),
         "rotation": _abelian(ROTATION),
-        "rotation-doubling": _abelian(ROTATION, d([2, 2])),
-        "minus-one": _abelian(d([-1])),
+        "rotation-doubling": _abelian(ROTATION, Matrix([[2, 0], [0, 2]])),
+        "minus-one": _abelian(Matrix([[-1]])),
         "shear-powers": _abelian(SHEAR, SHEAR * SHEAR),
-        "free-doubling": _free(d([2])),
+        "free-doubling": _free(Matrix([[2]])),
         "free-rotation": _free(ROTATION),
-        "free-diag21-shear13": _free(d([2, 1]), Matrix([[1, 1], [0, 3]])),
+        "free-diag21-shear13": _free(Matrix([[2, 0], [0, 1]]), Matrix([[1, 1], [0, 3]])),
         "free-rotation-shear": _free(ROTATION, SHEAR),
     }
 
@@ -166,7 +165,7 @@ def _random_commuting(rng, n, k):
     random B, or small diagonal matrices."""
     if rng.random() < 0.3:
         entries = (-2, -1, 1, 2, 3)
-        return [Matrix.diagonal([rng.choice(entries) for _ in range(n)]) for _ in range(k)]
+        return [block_diagonal(*(Matrix([[rng.choice(entries)]]) for _ in range(n))) for _ in range(k)]
     base = random_nonsingular(rng, n, 2)
     square = base * base
     ident = Matrix.identity(n)
