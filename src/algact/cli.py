@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 from .actions import (
     FREE,
@@ -658,13 +658,80 @@ def _to_json(value):
     return value
 
 
+# How many parts _write_json collects before it hands them to `out` as one write
+_WRITE_PARTS = 1000
+
+
 def _write_json(value, out) -> None:
-    """Write value to out as indented JSON, without a trailing newline.  The
-    encoder's small chunks go out a few thousand at a time, so they never
-    pile up into one string the size of the document."""
-    chunks = json.JSONEncoder(indent=2).iterencode(value)
-    for piece in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
-        out.write(piece)
+    """Write value to out as JSON indented by two spaces, without a trailing
+    newline: the text json.dumps(value, indent=2) gives.  It takes dicts with
+    str keys, lists, tuples, str (escaped to ASCII), int, bool and None, and
+    raises TypeError on any other value, a float or a non-str key included.
+    About _WRITE_PARTS parts go out per write, so the document never piles up
+    into one string."""
+    # breaks[d] is a line break indented to depth d, commas[d] the same after a comma
+    breaks, commas = ["\n", "\n  "], [",\n", ",\n  "]
+    parts = []
+    text = _json_whole(value, 0, breaks, commas)
+    if text is None:
+        _json_members(value, 0, parts, out, breaks, commas)
+    else:
+        parts.append(text)
+    out.write("".join(parts))
+
+
+def _json_whole(v, depth, breaks, commas):
+    """The JSON text of a scalar, an empty container or a flat list of ints
+    at depth; None for a container that needs one part per member."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        if not all(type(x) is int for x in v):
+            return None
+        return f"[{breaks[depth + 1]}{commas[depth + 1].join(map(int.__repr__, v))}{breaks[depth]}]"
+    if t is dict:
+        return None if v else "{}"
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    raise TypeError(f"cannot write a {t.__name__} as JSON")
+
+
+def _json_members(v, depth, parts, out, breaks, commas) -> None:
+    """Append the JSON of the dict or list v at depth to parts, member by
+    member, and hand parts to out whenever _WRITE_PARTS have piled up."""
+    # a flat list among the members, at depth + 1, indents its ints to depth + 2
+    if len(breaks) == depth + 2:
+        breaks.append(breaks[-1] + "  ")
+        commas.append(commas[-1] + "  ")
+    is_dict = type(v) is dict
+    sep, comma = ("{" if is_dict else "[") + breaks[depth + 1], commas[depth + 1]
+    for item in v.items() if is_dict else v:
+        if is_dict:
+            key, item = item
+            if type(key) is not str:
+                raise TypeError(f"cannot write a {type(key).__name__} key as JSON")
+            parts += sep, encode_basestring_ascii(key), ": "
+        else:
+            parts.append(sep)
+        text = _json_whole(item, depth + 1, breaks, commas)
+        if text is None:
+            _json_members(item, depth + 1, parts, out, breaks, commas)
+        else:
+            parts.append(text)
+        sep = comma
+        if len(parts) >= _WRITE_PARTS:
+            out.write("".join(parts))
+            parts.clear()
+    parts += breaks[depth], "}" if is_dict else "]"
 
 
 def _emit(report: dict, as_json: bool, renderer) -> None:
