@@ -16,7 +16,7 @@ from .actions import (
     constructible_family,
     exactness,
 )
-from .groupoid import SemidirectElem, level_map, translation_orbit_size, verify_word_identity
+from .groupoid import level_map, translation_orbit_size, verify_word_identity
 from .invariants import ConjugacyClass, conjugacy_class, splitting_signature_distinguisher
 from .lattices import Lattice, QuotientLevel, image, intersect, lattice_sum, preimage, quotient
 from .matrices import Matrix, charpoly, hnf, poly_invariant_factors, snf

@@ -26,7 +26,6 @@ from .polynomials import Poly, cyclotomic_split, format_poly
 class ConjugacyClass:
     """Complete invariant of a rational matrix up to GL_n(Q)-conjugacy."""
 
-    dimension: int
     invariant_factors: tuple[Poly, ...]
 
     def describe(self) -> list[str]:
@@ -38,7 +37,7 @@ class ConjugacyClass:
 
 
 def conjugacy_class(m: Matrix) -> ConjugacyClass:
-    return ConjugacyClass(m.rows, tuple(poly_invariant_factors(m)))
+    return ConjugacyClass(tuple(poly_invariant_factors(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ tests lean on.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .actions import FREE, FREE_ABELIAN, AlgebraicAction
@@ -147,14 +146,17 @@ def regular_shift(ring: StructureRing, a, *, chi=None) -> int:
 def action_from_ring(ring: StructureRing, generators, names=None) -> AlgebraicAction:
     """The algebraic action of the given regular ring elements by left
     multiplication, bridging into the action/level/invariant pipelines.  The
-    action is free-abelian when the generators commute pairwise; the
-    AlgebraicAction constructor rejects an element that is not regular."""
+    action is free-abelian when the AlgebraicAction constructor accepts the
+    generators as commuting, and free otherwise; the free construction repeats
+    every other check, so an element that is not regular still raises."""
     mats = [act_matrix(ring, g) for g in generators]
     if names is None:
         names = [f"a{i}" for i in range(len(mats))]
-    commuting = all(a * b == b * a for a, b in itertools.combinations(mats, 2))
-    kind = FREE_ABELIAN if commuting else FREE
-    return AlgebraicAction(ring.n, zip(names, mats), kind)
+    gens = list(zip(names, mats))
+    try:
+        return AlgebraicAction(ring.n, gens, FREE_ABELIAN)
+    except ValueError:
+        return AlgebraicAction(ring.n, gens, FREE)
 
 
 def has_scalar_generator(ring: StructureRing, generators) -> bool:

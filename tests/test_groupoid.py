@@ -1,57 +1,17 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from algact import groupoid
 from algact.actions import AlgebraicAction
-from algact.groupoid import SemidirectElem, level_map, translation_orbit_size, verify_word_identity
+from algact.groupoid import level_map, translation_orbit_size, verify_word_identity
 from algact.lattices import Lattice, preimage, quotient
 from algact.matrices import Matrix
+from algact.polynomials import Poly
 from algact.presets import EXAMPLE_ACTIONS, doubling
 
 from conftest import block_diagonal, random_nonsingular
 from test_level_reference import reference_translation_orbit
-
-
-# -- semidirect arithmetic ----------------------------------------------------
-
-
-def test_sd_identity_law():
-    e = SemidirectElem.identity(2)
-    g = SemidirectElem((1, 2), Matrix([[0, 1], [1, 1]]))
-    assert e * g == g and g * e == g
-
-
-def test_sd_rank1_composition():
-    a = SemidirectElem((1,), Matrix([[2]]))
-    b = SemidirectElem((1,), Matrix([[3]]))
-    assert a * b == SemidirectElem((3,), Matrix([[6]]))
-
-
-@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
-@settings(max_examples=40)
-def test_sd_associative_rank1(x, y, z):
-    a = SemidirectElem((x,), Matrix([[2]]))
-    b = SemidirectElem((y,), Matrix([[3]]))
-    c = SemidirectElem((z,), Matrix([[5]]))
-    assert (a * b) * c == a * (b * c)
-
-
-def test_sd_powers_random(rng):
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        g = SemidirectElem(tuple(rng.randint(-5, 5) for _ in range(n)), random_nonsingular(rng, n, 4))
-        assert g**0 == SemidirectElem.identity(n)
-        assert g**3 == g * g * g
-    with pytest.raises(ValueError):
-        g**-1
-
-
-def test_sd_singular_rejected():
-    with pytest.raises(ValueError):
-        SemidirectElem((0,), Matrix([[0]]))
-    with pytest.raises(ValueError):
-        SemidirectElem((0, 0), Matrix([[2]]))
 
 
 # -- level maps ----------------------------------------------------------------
@@ -173,6 +133,14 @@ def test_word_identity_composite_word():
     rep = verify_word_identity("s t", Matrix([[2]]) * Matrix([[3]]))
     assert rep.kappas == (6, 1)  # word matrix is x6
     assert rep.all_hold
+
+
+def test_word_identity_reports_a_failing_sample(monkeypatch):
+    # a wrong characteristic polynomial stands in for an arithmetic bug
+    monkeypatch.setattr(groupoid, "charpoly", lambda mat: Poly((-3, 1)))
+    rep = verify_word_identity("s", Matrix([[2]]))
+    assert rep.witness == (1,)
+    assert not rep.module_identity_holds and not rep.semidirect_identity_holds
 
 
 def test_word_identity_rejects_non_integer_matrices():

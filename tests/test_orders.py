@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from algact.actions import FREE_ABELIAN
+from algact.actions import FREE, FREE_ABELIAN
 from algact.matrices import Matrix
 from algact.orders import (
     StructureRing,
@@ -137,6 +137,31 @@ def test_action_from_ring_known_cases():
 def test_action_from_ring_rejects_irregular():
     with pytest.raises(ValueError):
         action_from_ring(ring_preset("M2Z"), [(1, 0, 0, 0)])
+    # a singular generator is reported as such whether or not the others commute
+    with pytest.raises(ValueError, match="'a1' is singular"):
+        action_from_ring(ring_preset("M2Z"), [(1, 1, 0, 1), (1, 0, 0, 0)])
+
+
+def test_action_from_ring_decides_the_kind_once(monkeypatch):
+    products = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    m2z = ring_preset("M2Z")
+    action = action_from_ring(m2z, [(2, 0, 0, 2), (3, 0, 0, 3), (1, 1, 0, 1)])
+    assert action.monoid_kind == FREE_ABELIAN
+    # one product each way per unordered pair of generators
+    assert len(products) == 6
+
+
+def test_action_from_ring_non_commuting_is_free():
+    action = action_from_ring(ring_preset("M2Z"), [(1, 1, 0, 1), (1, 0, 1, 1)])
+    assert action.monoid_kind == FREE
+    assert action.names == ("a0", "a1")
 
 
 def test_scalar_generator_detection():
