@@ -90,6 +90,12 @@ CASES = {
         [_action(3, [[0, 0, 2, 1, 0, 0, 0, 1, 0]], ["s"])],
         ["--level=2", "--depth", "3"],
     ),
+    # a non-diagonal source: s^{-1}C has Hermite basis [[2, 2], [0, 4]], 8 arrows
+    "groupoid_gaussian_1plusi_level4": (
+        "groupoid",
+        [_action_doc(EXAMPLE_ACTIONS["gaussian_1plusi"]())],
+        ["--level", "4", "--depth", "4"],
+    ),
     "polyideal_two_square_roots": ("polyideal", [_ideal(["u", "v"], ["u^2-2", "v^2-3"])], []),
     "polyideal_golden_ratio": ("polyideal", [_ideal(["u"], ["u^2-u-1"])], []),
     "polyideal_positive_dimensional": ("polyideal", [_ideal(["u", "v"], ["u*v"])], []),
