@@ -19,7 +19,7 @@ from .actions import (
 from .groupoid import level_map, translation_orbit_size, verify_word_identity
 from .invariants import ConjugacyClass, conjugacy_class, splitting_signature_distinguisher
 from .lattices import Lattice, QuotientLevel, image, intersect, lattice_sum, preimage, quotient
-from .matrices import Matrix, charpoly, hnf, poly_invariant_factors, snf
+from .matrices import Matrix, charpoly, hnf, poly_invariant_factors
 from .modp import RAMIFIED, ddf_signature
 from .orders import StructureRing, action_from_ring, act_matrix, norm, regular_shift, ring_preset
 from .polynomials import Poly, cyclotomic, format_poly

@@ -560,10 +560,15 @@ def _render_polyideal(report: dict) -> list[str]:
     lines.append(f"(a) finite quotient, variables nonzero: {_yn(cond['a_holds'])}")
     if cond["dimension"] is not None:
         lines.append(f"    dimension {cond['dimension']}")
-    lines.append(f"(b) variables act injectively: {_yn(cond['b_holds'])}  norms {cond['norms']}")
+    # (b) and (c) run only on a zero-dimensional ideal; otherwise they hold n/a.
+    lines.append(
+        f"(b) variables act injectively: {_yn(cond['b_holds'])}"
+        + (f"  norms {cond['norms']}" if cond["b_holds"] is not None else "")
+    )
     lines.append(
         f"(c) some monomial f with id - f injective: {_yn(cond['c_holds'])}"
-        + (f"  witness {cond['c_witness']}" if cond["c_witness"] else f"  (none up to degree {cond['c_search_bound']})")
+        + (f"  witness {cond['c_witness']}" if cond["c_witness"] else "")
+        + (f"  (none up to degree {cond['c_search_bound']})" if cond["c_holds"] is False else "")
     )
     lines.append(
         f"(d) exclusive norm primes: {_yn(cond['d_holds'])}"

@@ -10,6 +10,7 @@ and each word matrix satisfies its characteristic-polynomial identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .lattices import Lattice, QuotientLevel, image, lattice_sum, preimage, quotient
 from .matrices import Matrix, charpoly
@@ -25,37 +26,18 @@ class LevelMap:
 
 
 def level_map(mat: Matrix, target: QuotientLevel) -> LevelMap:
-    """Materialize x + s^{-1}C  |->  s.x + C on canonical representatives,
-    for an injective integer matrix s and the target level Z^n / C.
+    """Materialize x + s^{-1}C  |->  s.x + C on the Hermite-box representatives
+    of both levels, for an injective integer matrix s and the target level Z^n / C.
 
     The map is injective because s^{-1}C is the preimage of C; its image has
     index [Z^n : s Z^n + C] in the target, which the construction verifies.
     """
     level = target.lattice
     source = quotient(preimage(mat, level))
-    n, factors = level.n, source.factors
-    # Source coordinates c give the representative sum c_i g_i, g_i = from_cyclic(e_i),
-    # and image coordinates sum c_i t_i, t_i = to_cyclic(M g_i) (from_cyclic reduces).
-    # An odometer walks c: advancing digit i resets each later digit j from d_j - 1
-    # to 0, moving (rep, coords) by (g_i, t_i) - sum_{j > i} (d_j - 1)(g_j, t_j).
-    steps, carry = [], (0,) * (2 * n)
-    for i in reversed(range(n)):
-        g = source.from_cyclic(tuple(int(i == j) for j in range(n)))
-        pair = g + target.to_cyclic(mat.apply(g))
-        steps.append((i, tuple(a - b for a, b in zip(pair, carry))))
-        carry = tuple(b + (factors[i] - 1) * a for a, b in zip(pair, carry))
-    digits, point, table = [0] * n, (0,) * (2 * n), {}
-    while True:
-        table[point[:n]] = target.from_cyclic(point[n:])
-        for i, step in steps:
-            if digits[i] + 1 < factors[i]:
-                digits[i] += 1
-                break
-            digits[i] = 0
-        else:
-            break
-        point = tuple(a + b for a, b in zip(point, step))
-    im_index = lattice_sum(image(mat, Lattice.standard(n)), level).index()
+    h = source.lattice.basis
+    box = product(*(range(h[i, i]) for i in range(h.rows)))
+    table = {x: target.reduce(mat.apply(x)) for x in box}
+    im_index = lattice_sum(image(mat, Lattice.standard(level.n)), level).index()
     if len(table) * im_index != level.index():
         raise ArithmeticError("level map image has the wrong index")
     return LevelMap(source, table, im_index)

@@ -4,8 +4,9 @@ A lattice is stored by its canonical Hermite-form row basis, so two lattices
 are equal as subgroups exactly when their `basis` matrices are equal.  Only
 full-rank lattices are representable; constructors reject anything else.
 
-QuotientLevel materializes one finite stage Z^n / L with its cyclic
-decomposition and canonical coset representatives (`from_cyclic`).
+QuotientLevel is one finite stage Z^n / L.  The Hermite basis gives each coset
+a representative that depends on L alone: its one point r with 0 <= r_i < h_ii
+(`reduce`; Cohen, GTM 138, section 2.4).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .matrices import Matrix, hermite_rows, snf
+from .matrices import Matrix, hermite_rows
 from .polynomials import _scalar
 
 
@@ -146,33 +147,25 @@ def _check_map(m: Matrix, lat: Lattice):
 
 @dataclass(frozen=True)
 class QuotientLevel:
-    """The finite group Z^n / L in cyclic coordinates.
-
-    `factors` is the Smith chain d1 | d2 | ... | dn with product = index(L).
-    `to_cyclic` maps x to its coordinates in ⊕ Z/d_i; `from_cyclic` returns
-    the canonical representative of a coset from its coordinates (the
-    unique one whose cyclic coordinates lie in [0, d_i)).
-    """
+    """The finite group Z^n / L; each coset is named by its point in the
+    Hermite box of L, the product of the ranges [0, h_ii)."""
 
     lattice: Lattice
-    factors: tuple[int, ...]
-    _v: Matrix
-    _v_inv: Matrix
 
-    def to_cyclic(self, x) -> tuple[int, ...]:
-        y = self._v.apply_row(tuple(x))
-        return tuple(c % d for c, d in zip(y, self.factors))
-
-    def from_cyclic(self, coords) -> tuple[int, ...]:
-        coords = tuple(c % d for c, d in zip(coords, self.factors))
-        return self._v_inv.apply_row(coords)
+    def reduce(self, x) -> tuple[int, ...]:
+        """The point of the Hermite box in x + L.  Row i of the upper-triangular
+        basis is zero left of column i, so column i is reduced once for all."""
+        r = tuple(x)
+        for i, row in enumerate(self.lattice.basis.entries()):
+            q = r[i] // row[i]
+            if q:
+                r = tuple([a - q * b for a, b in zip(r, row)])
+        return r
 
     def size(self) -> int:
-        return prod(self.factors)
+        return self.lattice.index()
 
 
 def quotient(lat: Lattice) -> QuotientLevel:
-    """Cyclic decomposition of Z^n / L via the Smith form of the basis."""
-    s, _, v = snf(lat.basis)
-    factors = tuple(s[i, i] for i in range(lat.n))
-    return QuotientLevel(lat, factors, v, v.inverse())
+    """The level Z^n / L."""
+    return QuotientLevel(lat)

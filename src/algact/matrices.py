@@ -1,6 +1,6 @@
-"""Exact dense matrices and the integer normal forms the rest of the package
-lives on: Hermite form, Smith form, and the invariant factors over Q[z] by
-Krylov cyclic decomposition, whose product is the characteristic polynomial.
+"""Exact dense matrices and the normal forms the rest of the package lives
+on: the Hermite form over Z, and the invariant factors over Q[z] by Krylov
+cyclic decomposition, whose product is the characteristic polynomial.
 
 Entries are ints or Fractions.  Matrices are immutable and hashable so that
 lattices can be deduplicated by their canonical basis.  The determinant and
@@ -135,13 +135,6 @@ class Matrix:
             raise ValueError("vector length mismatch")
         return tuple(_dot(row, vec) for row in self._e)
 
-    def apply_row(self, vec) -> tuple:
-        """Row vector times matrix."""
-        vec = tuple(vec)
-        if len(vec) != self.rows:
-            raise ValueError("vector length mismatch")
-        return tuple(_dot(vec, col) for col in zip(*self._e))
-
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self._e)))
 
@@ -274,96 +267,6 @@ def hermite_rows(rows: list[list[int]], width: int) -> list[list[int]]:
         if r == nrows:
             break
     return rows
-
-
-def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form.
-
-    Returns (S, U, V) with U, V unimodular, U*M*V = S, S diagonal with
-    nonnegative entries satisfying d1 | d2 | ... .
-    """
-    if not m.is_integral():
-        raise ValueError("Smith form needs integer entries")
-    a = [list(row) for row in m.entries()]
-    nrows, ncols = m.rows, m.cols
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    t = 0
-    while t < min(nrows, ncols):
-        piv = _smallest_nonzero(a, t)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            # Clear column t with unimodular row combinations.
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    s, w, c, d = _eliminator(a[t][t], a[i][t])
-                    for grid in (a, u):
-                        rt, ri = grid[t], grid[i]
-                        grid[t] = [s * x + w * y for x, y in zip(rt, ri)]
-                        grid[i] = [c * x + d * y for x, y in zip(rt, ri)]
-            # Clear row t with unimodular column combinations.
-            row_cleared = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    s, w, c, d = _eliminator(a[t][t], a[t][j])
-                    for row in a + v:
-                        x, y = row[t], row[j]
-                        row[t], row[j] = s * x + w * y, c * x + d * y
-                    row_cleared = False
-            if row_cleared and all(a[i][t] == 0 for i in range(t + 1, nrows)):
-                # Pivot must divide the remaining block, or fold a bad row in.
-                offender = None
-                for i in range(t + 1, nrows):
-                    for j in range(t + 1, ncols):
-                        if a[i][j] % a[t][t]:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                a[t] = [x + y for x, y in zip(a[t], a[offender])]
-                u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return Matrix(a), Matrix(u), Matrix(v)
-
-
-def _eliminator(p: int, x: int) -> tuple[int, int, int, int]:
-    """A unimodular [[s, w], [c, d]] mapping (p, x) to (±gcd(p, x), 0), p != 0.
-
-    When p divides x it subtracts the exact multiple and leaves p in place.
-    xgcd(p, ±p) would return a swap instead, and the row and column passes
-    of snf would then undo each other forever."""
-    if x % p == 0:
-        return 1, 0, -(x // p), 1
-    g, s, w = xgcd(p, x)
-    return s, w, -x // g, p // g
-
-
-def _smallest_nonzero(a, t):
-    best = None
-    best_abs = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            x = a[i][j]
-            if x and (best_abs is None or abs(x) < best_abs):
-                best, best_abs = (i, j), abs(x)
-                if best_abs == 1:
-                    return best
-    return best
 
 
 def left_kernel_int(m: Matrix) -> list[tuple[int, ...]]:

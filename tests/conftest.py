@@ -55,6 +55,11 @@ def adjugate(m: Matrix) -> Matrix:
     return m.inverse() * m.det()
 
 
+def row_times(vec, m: Matrix) -> tuple:
+    """The row vector vec times the matrix m."""
+    return tuple(sum(v * x for v, x in zip(vec, col)) for col in zip(*m.entries()))
+
+
 def ref_member(basis: Matrix, x) -> bool:
     """Is the integer vector x in the lattice with this basis?  x adj(B) is
     det(B) times the coordinates of x in the rows of B."""

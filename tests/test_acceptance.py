@@ -12,7 +12,7 @@ from algact.actions import AlgebraicAction, constructible_family, check_conditio
 from algact.groupoid import verify_word_identity
 from algact.invariants import conjugacy_class
 from algact.lattices import Lattice, intersect, lattice_sum, preimage, quotient
-from algact.matrices import Matrix, charpoly, hnf, snf
+from algact.matrices import Matrix, charpoly, hnf
 from algact.polynomials import Poly, cyclotomic_split
 from algact.polyring import MPoly, buchberger, commalg_conditions, parse_poly, quotient_algebra
 from algact.presets import EXAMPLE_ACTIONS, doubling
@@ -37,15 +37,8 @@ def test_criterion_1_normal_forms():
         h, u = hnf(m)
         assert u * m == h
         assert abs(u.det()) == 1
-        s, us, vs = snf(m)
-        assert us * m * vs == s
-        assert abs(us.det()) == 1 and abs(vs.det()) == 1
-        diag = [s[i, i] for i in range(n)]
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
     elapsed = time.monotonic() - start
-    _report(1, elapsed, 10.0, "1000 random matrices: HNF/SNF recompose, unimodular transforms, divisor chains")
+    _report(1, elapsed, 10.0, "1000 random matrices: HNF recomposes, unimodular transforms")
 
 
 # -- 2: lattice oracle equivalence ------------------------------------------------
@@ -83,7 +76,7 @@ def _subgroup_in_quotient(mod_lattice, gens):
     while frontier:
         x = frontier.pop()
         for g in gens:
-            nxt = q.from_cyclic(q.to_cyclic(tuple(a + b for a, b in zip(x, g))))
+            nxt = q.reduce(tuple(a + b for a, b in zip(x, g)))
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)

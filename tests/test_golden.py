@@ -78,13 +78,13 @@ CASES = {
         [_action_doc(EXAMPLE_ACTIONS["doubling_tripling"]())],
         ["--level", "6"],
     ),
-    # two nontrivial Smith factors: Z^2/C is Z/4 x Z/16, 8 arrows
+    # a diagonal level: C = 4Z x 16Z with Hermite box [0, 4) x [0, 16), 8 arrows
     "groupoid_diag24_level4_16": (
         "groupoid",
         [_action(2, [[2, 0, 0, 4]], ["s"])],
         ["--level=4,0,0,16", "--depth", "2"],
     ),
-    # rank 3, factors (2, 2, 2): the companion of z^3-2 at level 2, 4 arrows
+    # rank 3, C = 2Z^3 with Hermite box [0, 2)^3: the companion of z^3-2, 4 arrows
     "groupoid_cube_root2_level2": (
         "groupoid",
         [_action(3, [[0, 0, 2, 1, 0, 0, 0, 1, 0]], ["s"])],

@@ -18,7 +18,7 @@ from algact.lattices import Lattice, image, intersect, preimage
 from algact.matrices import Matrix, hnf, left_kernel_int
 from algact.presets import EXAMPLE_ACTIONS
 
-from conftest import adjugate, random_nonsingular
+from conftest import adjugate, random_nonsingular, row_times
 
 
 def hermite_basis(n, rows) -> Matrix:
@@ -29,7 +29,7 @@ def hermite_basis(n, rows) -> Matrix:
 
 def ref_intersect(b1: Matrix, b2: Matrix) -> Matrix:
     n = b1.rows
-    rows = [b1.apply_row(vec[:n]) for vec in left_kernel_int(Matrix(b1.entries() + (-b2).entries()))]
+    rows = [row_times(vec[:n], b1) for vec in left_kernel_int(Matrix(b1.entries() + (-b2).entries()))]
     return hermite_basis(n, rows)
 
 

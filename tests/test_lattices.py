@@ -96,20 +96,20 @@ def test_index_known_cases():
 
 
 def test_index_by_coset_enumeration():
-    # Oracle: count distinct cyclic coordinates over a box.
+    # Oracle: count distinct representatives over a box.
     lat = Lattice.from_generators(2, [(1, 1), (0, 2)])
     q = quotient(lat)
-    reps = {q.to_cyclic((x, y)) for x in range(4) for y in range(4)}
+    reps = {q.reduce((x, y)) for x in range(4) for y in range(4)}
     assert len(reps) == 2 == lat.index()
 
 
 def test_membership():
-    # A vector lies in the lattice exactly when its cyclic coordinates vanish.
+    # A vector lies in the lattice exactly when it reduces to zero.
     q = quotient(Lattice.from_generators(2, [(1, 1), (0, 2)]))
-    assert q.to_cyclic((1, 1)) == (0, 0)
-    assert q.to_cyclic((0, 2)) == (0, 0)
-    assert q.to_cyclic((1, 0)) != (0, 0)
-    assert q.to_cyclic((0, 0)) == (0, 0)
+    assert q.reduce((1, 1)) == (0, 0)
+    assert q.reduce((0, 2)) == (0, 0)
+    assert q.reduce((1, 0)) != (0, 0)
+    assert q.reduce((0, 0)) == (0, 0)
 
 
 def test_equality_is_syntactic():
@@ -163,7 +163,7 @@ def quotient_image_subgroup(l_small: Lattice, l_big_gens):
     while frontier:
         x = frontier.pop()
         for g in l_big_gens:
-            nxt = q.from_cyclic(q.to_cyclic(tuple(a + b for a, b in zip(x, g))))
+            nxt = q.reduce(tuple(a + b for a, b in zip(x, g)))
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -253,15 +253,19 @@ def test_image_index_multiplicative(rng):
 
 def test_quotient_known_cases():
     q = quotient(Lattice(Matrix([[4]])))
-    assert q.factors == (4,)
-    assert q.from_cyclic(q.to_cyclic((7,))) == (3,)
+    assert q.size() == 4
+    assert q.reduce((7,)) == (3,)
+    assert q.reduce((-1,)) == (3,)
 
+    # Hermite basis [[1, 1], [0, 2]]: the box is {0} x [0, 2)
     q2 = quotient(Lattice.from_generators(2, [(1, 1), (0, 2)]))
-    assert q2.factors == (1, 2)
+    assert q2.size() == 2
+    assert q2.reduce((1, 0)) == (0, 1)
+    assert q2.reduce((3, 4)) == (0, 1)
 
     q3 = quotient(Lattice.standard(3))
-    assert q3.factors == (1, 1, 1)
-    assert q3.from_cyclic(q3.to_cyclic((5, -7, 2))) == (0, 0, 0)
+    assert q3.size() == 1
+    assert q3.reduce((5, -7, 2)) == (0, 0, 0)
 
 
 def test_quotient_properties(rng):
@@ -269,22 +273,22 @@ def test_quotient_properties(rng):
         n = rng.randint(1, 3)
         lat = random_lattice(rng, n, 24)
         q = quotient(lat)
-        reps = [q.from_cyclic(c) for c in itertools.product(*(range(d) for d in q.factors))]
+        # index * e_i lies in the lattice, so a cube of side index meets every coset
+        reps = {q.reduce(x) for x in itertools.product(range(lat.index()), repeat=n)}
+        assert reps == set(box_points(lat))
         assert len(reps) == lat.index() == q.size()
-        assert len(set(reps)) == lat.index()
-        # from_cyclic inverts to_cyclic on coordinates, and its representative
-        # lies in the coset of x
+        # reduce is idempotent, and its representative lies in the coset of x
         for _ in range(20):
             x = tuple(rng.randint(-30, 30) for _ in range(n))
-            rx = q.from_cyclic(q.to_cyclic(x))
-            assert q.to_cyclic(rx) == q.to_cyclic(x)
+            rx = q.reduce(x)
+            assert q.reduce(rx) == rx
             assert ref_member(lat.basis, tuple(a - b for a, b in zip(x, rx)))
-        # to_cyclic is additive modulo the factors
+        # reduce is additive modulo the lattice
         for _ in range(10):
             x = tuple(rng.randint(-15, 15) for _ in range(n))
             y = tuple(rng.randint(-15, 15) for _ in range(n))
-            direct = q.to_cyclic(tuple(a + b for a, b in zip(x, y)))
-            via = tuple((a + b) % d for a, b, d in zip(q.to_cyclic(x), q.to_cyclic(y), q.factors))
+            direct = q.reduce(tuple(a + b for a, b in zip(x, y)))
+            via = q.reduce(tuple(a + b for a, b in zip(q.reduce(x), q.reduce(y))))
             assert direct == via
 
 
@@ -295,4 +299,4 @@ def test_reduce_separates_cosets(rng):
         x = (rng.randint(-9, 9), rng.randint(-9, 9))
         y = (rng.randint(-9, 9), rng.randint(-9, 9))
         same_coset = ref_member(lat.basis, (x[0] - y[0], x[1] - y[1]))
-        assert (q.to_cyclic(x) == q.to_cyclic(y)) == same_coset
+        assert (q.reduce(x) == q.reduce(y)) == same_coset

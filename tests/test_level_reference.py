@@ -1,8 +1,13 @@
-"""Differential test: level maps and translation orbits against the point-by-point
-enumerations they replaced, kept here as the reference.
+"""Differential test: level maps and translation orbits against the code they
+replaced, kept here as the reference.
 
-The reference level map reduces M x for every canonical representative x of
-the source and checks injectivity with a set of the images seen.  The
+The replaced level read Z^n / L in the cyclic coordinates of the Smith form
+U B V = S of its basis B (`snf` below): `to_cyclic(x)` is x V reduced mod the
+Smith factors, and `from_cyclic` maps coordinates back through V^-1.  Its
+representatives depend on the V the elimination chose, so the two level maps
+agree coset for coset, not key for key: an old and a new source key that are
+congruent mod s^{-1}C have targets congruent mod C.  The new representatives
+are the points of the Hermite box, the product of the ranges [0, h_ii).  The
 reference orbit is a breadth-first search over Z^n / C along the standard
 basis translations.
 """
@@ -10,28 +15,184 @@ basis translations.
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from algact.actions import FREE, FREE_ABELIAN, AlgebraicAction, constructible_family
+from algact.arith import xgcd
 from algact.groupoid import level_map, translation_orbit_size
 from algact.lattices import Lattice, preimage, quotient
 from algact.matrices import Matrix
 
-from conftest import random_nonsingular
+from conftest import random_int_matrix, random_nonsingular, ref_member, row_times
 
 MAX_INDEX = 3000
+
+
+# -- the replaced Smith form and cyclic coordinates ------------------------------
+
+
+def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form.
+
+    Returns (S, U, V) with U, V unimodular, U*M*V = S, S diagonal with
+    nonnegative entries satisfying d1 | d2 | ... .
+    """
+    if not m.is_integral():
+        raise ValueError("Smith form needs integer entries")
+    a = [list(row) for row in m.entries()]
+    nrows, ncols = m.rows, m.cols
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    t = 0
+    while t < min(nrows, ncols):
+        piv = _smallest_nonzero(a, t)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            # Clear column t with unimodular row combinations.
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    s, w, c, d = _eliminator(a[t][t], a[i][t])
+                    for grid in (a, u):
+                        rt, ri = grid[t], grid[i]
+                        grid[t] = [s * x + w * y for x, y in zip(rt, ri)]
+                        grid[i] = [c * x + d * y for x, y in zip(rt, ri)]
+            # Clear row t with unimodular column combinations.
+            row_cleared = True
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    s, w, c, d = _eliminator(a[t][t], a[t][j])
+                    for row in a + v:
+                        x, y = row[t], row[j]
+                        row[t], row[j] = s * x + w * y, c * x + d * y
+                    row_cleared = False
+            if row_cleared and all(a[i][t] == 0 for i in range(t + 1, nrows)):
+                # Pivot must divide the remaining block, or fold a bad row in.
+                offender = None
+                for i in range(t + 1, nrows):
+                    for j in range(t + 1, ncols):
+                        if a[i][j] % a[t][t]:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+                if offender is None:
+                    break
+                a[t] = [x + y for x, y in zip(a[t], a[offender])]
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return Matrix(a), Matrix(u), Matrix(v)
+
+
+def _eliminator(p: int, x: int) -> tuple[int, int, int, int]:
+    """A unimodular [[s, w], [c, d]] mapping (p, x) to (±gcd(p, x), 0), p != 0.
+
+    When p divides x it subtracts the exact multiple and leaves p in place.
+    xgcd(p, ±p) would return a swap instead, and the row and column passes
+    of snf would then undo each other forever."""
+    if x % p == 0:
+        return 1, 0, -(x // p), 1
+    g, s, w = xgcd(p, x)
+    return s, w, -x // g, p // g
+
+
+def _smallest_nonzero(a, t):
+    best = None
+    best_abs = None
+    for i in range(t, len(a)):
+        for j in range(t, len(a[0])):
+            x = a[i][j]
+            if x and (best_abs is None or abs(x) < best_abs):
+                best, best_abs = (i, j), abs(x)
+                if best_abs == 1:
+                    return best
+    return best
+
+
+class CyclicLevel:
+    """The replaced QuotientLevel: Z^n / L in the cyclic coordinates of the
+    Smith chain d1 | d2 | ... | dn with product = index(L)."""
+
+    def __init__(self, lat):
+        s, _, v = snf(lat.basis)
+        self.factors = tuple(s[i, i] for i in range(lat.n))
+        self._v, self._v_inv = v, v.inverse()
+
+    def to_cyclic(self, x):
+        return tuple(c % d for c, d in zip(row_times(x, self._v), self.factors))
+
+    def from_cyclic(self, coords):
+        return row_times(tuple(c % d for c, d in zip(coords, self.factors)), self._v_inv)
+
+
+def check_snf(m):
+    s, u, v = snf(m)
+    assert u * m * v == s
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    assert all(s[i, j] == 0 for i in range(s.rows) for j in range(s.cols) if i != j)
+    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0 if a else b == 0
+    return diag
+
+
+def gcd_of_k_minors(m, k):
+    from math import gcd
+
+    out = 0
+    for rows in itertools.combinations(range(m.rows), k):
+        for cols in itertools.combinations(range(m.cols), k):
+            out = gcd(out, Matrix([[m[i, j] for j in cols] for i in rows]).det())
+    return out
+
+
+def test_reference_snf_is_a_smith_form(rng):
+    assert check_snf(Matrix([[2, 0], [0, 3]])) == [1, 6]
+    assert check_snf(Matrix([[4, 0], [0, 2]])) == [2, 4]
+    assert check_snf(Matrix.identity(2) * 0) == [0, 0]
+    # Rank-3 preimage levels of this form once made the row and column
+    # eliminations undo each other forever.
+    m = Matrix([[1, 0, 1], [0, 1, 1], [0, 0, 2]])
+    assert check_snf(m) == [1, 1, 2]
+    assert check_snf(m * 8) == [8, 8, 16]
+    for _ in range(150):
+        check_snf(random_int_matrix(rng, 3, 2))
+    # Independent oracle: d_1 * ... * d_k is the gcd of the k x k minors.
+    for _ in range(40):
+        m = random_int_matrix(rng, rng.randint(1, 4), 12)
+        diag, prod = check_snf(m), 1
+        for k in range(1, m.rows + 1):
+            prod *= diag[k - 1]
+            assert prod == gcd_of_k_minors(m, k)
+
+
+# -- references ------------------------------------------------------------------
 
 
 def reference_translation_orbit(level, start):
     """Orbit of a coset under the standard-basis translations, by search."""
     q = quotient(level)
     translations = [tuple(1 if j == i else 0 for j in range(level.n)) for i in range(level.n)]
-    start = q.from_cyclic(q.to_cyclic(start))
+    start = q.reduce(start)
     seen = {start}
     frontier = [start]
     while frontier:
         point = frontier.pop()
         for t in translations:
-            nxt = q.from_cyclic(q.to_cyclic(tuple(a + b for a, b in zip(point, t))))
+            nxt = q.reduce(tuple(a + b for a, b in zip(point, t)))
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -39,9 +200,9 @@ def reference_translation_orbit(level, start):
 
 
 def reference_level_table(mat, level):
-    """x + s^{-1}C -> s.x + C on canonical representatives, one point at a time."""
-    source = quotient(preimage(mat, level))
-    target = quotient(level)
+    """x + s^{-1}C -> s.x + C on the replaced cyclic representatives, one point at a time."""
+    source = CyclicLevel(preimage(mat, level))
+    target = CyclicLevel(level)
     table = {}
     seen = set()
     for coords in itertools.product(*(range(d) for d in source.factors)):
@@ -54,10 +215,28 @@ def reference_level_table(mat, level):
     return table
 
 
+def in_hermite_box(lat, x):
+    return all(0 <= x[i] < lat.basis[i, i] for i in range(lat.n))
+
+
+def difference(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
 def assert_matches_reference(mat, level):
     lm = level_map(mat, quotient(level))
-    # Same pairs in the same (cyclic-coordinate) order.
-    assert list(lm.table.items()) == list(reference_level_table(mat, level).items())
+    source = lm.source.lattice
+    # Every key and every target lies in its Hermite box, and the targets are distinct.
+    assert all(in_hermite_box(source, key) for key in lm.table)
+    assert all(in_hermite_box(level, out) for out in lm.table.values())
+    assert len(set(lm.table.values())) == len(lm.table)
+    # Coset for coset, the old table is the new one.
+    old = reference_level_table(mat, level)
+    assert len(old) == len(lm.table)
+    for key, out in old.items():
+        new_key = lm.source.reduce(key)
+        assert ref_member(source.basis, difference(key, new_key))
+        assert ref_member(level.basis, difference(out, lm.table[new_key]))
     return lm
 
 
@@ -94,7 +273,7 @@ def sample_levels(rng, action):
 
 
 def nontrivial_factors(level):
-    return sum(d > 1 for d in quotient(level).factors)
+    return sum(d > 1 for d in CyclicLevel(level).factors)
 
 
 @pytest.mark.parametrize("kind", [FREE, FREE_ABELIAN])
@@ -122,6 +301,8 @@ def test_random_level_maps_match_reference(rng, kind):
         (Matrix([[3, 1, 0], [0, 3, 0], [0, 0, 1]]), Lattice(Matrix([[2, 0, 0], [0, 6, 0], [0, 0, 12]]))),
         # source and target of index 2048 in rank 2, like the benchmark's levels
         (Matrix([[1, -1], [1, 1]]), Lattice.from_generators(2, [(32, 32), (-32, 32)])),
+        # the same 1+i at level 4: the source's Hermite basis is [[2, 2], [0, 4]]
+        (Matrix([[1, -1], [1, 1]]), Lattice(Matrix.identity(2) * 4)),
     ],
 )
 def test_multi_factor_level_maps_match_reference(matrix, level):
@@ -151,3 +332,28 @@ def test_orbit_size_matches_reference(rng):
                 continue
             start = tuple(rng.randint(-9, 9) for _ in range(n))
             assert len(reference_translation_orbit(level, start)) == translation_orbit_size(level)
+
+
+@st.composite
+def level_point_and_shift(draw):
+    """A full-rank lattice of rank 1-3, a vector, and integer coefficients on its basis rows."""
+    n = draw(st.integers(1, 3))
+    small = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    basis = Matrix(draw(st.lists(small, min_size=n, max_size=n)))
+    assume(basis.det() != 0)
+    x = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+    return Lattice(basis), tuple(x), tuple(draw(small))
+
+
+@given(level_point_and_shift())
+@settings(max_examples=80)
+def test_reduce_picks_the_hermite_box_point_of_each_coset(case):
+    lat, x, coeffs = case
+    q = quotient(lat)
+    r = q.reduce(x)
+    assert in_hermite_box(lat, r)
+    assert ref_member(lat.basis, difference(x, r))
+    shift = row_times(coeffs, lat.basis)
+    assert q.reduce(tuple(a + b for a, b in zip(x, shift))) == r
+    box = itertools.product(*(range(lat.basis[i, i]) for i in range(lat.n)))
+    assert all(q.reduce(point) == point for point in box)

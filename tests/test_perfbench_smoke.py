@@ -36,8 +36,8 @@ def test_one_case_per_workload_passes_its_check(tmp_path):
 
 
 def test_every_level_shape_passes_its_check(tmp_path):
-    # One full pass of the level stream runs each shape once: every Smith
-    # shape of the benchmark's levels goes through level_map.
+    # One full pass of the level stream runs each shape once: every level
+    # shape of the benchmark goes through level_map.
     harness = Harness(cli, tmp_path, timeout_s=30.0)
     shapes = {shape.label for shape in workloads.LEVEL}
     for case in itertools.islice(workloads.cases("level", 3), len(workloads.LEVEL)):
