@@ -137,48 +137,6 @@ class CyclicLevel:
         return row_times(tuple(c % d for c, d in zip(coords, self.factors)), self._v_inv)
 
 
-def check_snf(m):
-    s, u, v = snf(m)
-    assert u * m * v == s
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
-    assert all(s[i, j] == 0 for i in range(s.rows) for j in range(s.cols) if i != j)
-    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        assert b % a == 0 if a else b == 0
-    return diag
-
-
-def gcd_of_k_minors(m, k):
-    from math import gcd
-
-    out = 0
-    for rows in itertools.combinations(range(m.rows), k):
-        for cols in itertools.combinations(range(m.cols), k):
-            out = gcd(out, Matrix([[m[i, j] for j in cols] for i in rows]).det())
-    return out
-
-
-def test_reference_snf_is_a_smith_form(rng):
-    assert check_snf(Matrix([[2, 0], [0, 3]])) == [1, 6]
-    assert check_snf(Matrix([[4, 0], [0, 2]])) == [2, 4]
-    assert check_snf(Matrix.identity(2) * 0) == [0, 0]
-    # Rank-3 preimage levels of this form once made the row and column
-    # eliminations undo each other forever.
-    m = Matrix([[1, 0, 1], [0, 1, 1], [0, 0, 2]])
-    assert check_snf(m) == [1, 1, 2]
-    assert check_snf(m * 8) == [8, 8, 16]
-    for _ in range(150):
-        check_snf(random_int_matrix(rng, 3, 2))
-    # Independent oracle: d_1 * ... * d_k is the gcd of the k x k minors.
-    for _ in range(40):
-        m = random_int_matrix(rng, rng.randint(1, 4), 12)
-        diag, prod = check_snf(m), 1
-        for k in range(1, m.rows + 1):
-            prod *= diag[k - 1]
-            assert prod == gcd_of_k_minors(m, k)
-
-
 # -- references ------------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from algact.polynomials import Poly
 
 from conftest import poly_eval_matrix, random_int_matrix, random_unimodular
 from test_charpoly_reference import faddeev_leverrier
+from test_level_reference import snf
 
 
 def int_matrix(n, bound=9):
@@ -177,6 +178,91 @@ def test_hnf_matches_reference(rng):
 def test_hnf_recomposition_hypothesis(m):
     h, u = hnf(m)
     assert u * m == h and abs(u.det()) == 1
+
+
+# -- Smith form ---------------------------------------------------------------
+# `snf` is the Smith form that levels once used, pinned in test_level_reference.
+
+
+def test_snf_known_cases():
+    s, u, v = snf(Matrix([[2, 0], [0, 3]]))
+    assert s == Matrix([[1, 0], [0, 6]])
+    assert u * Matrix([[2, 0], [0, 3]]) * v == s
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+
+    s2, _, _ = snf(Matrix([[4, 0], [0, 2]]))
+    assert s2 == Matrix([[2, 0], [0, 4]])
+
+    zero = Matrix.identity(2) * 0
+    s3, _, _ = snf(zero)
+    assert s3 == zero
+
+
+def check_snf(m):
+    s, u, v = snf(m)
+    assert u * m * v == s
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    diag = [s[i, i] for i in range(min(s.rows, s.cols))]
+    for i in range(s.rows):
+        for j in range(s.cols):
+            if i != j:
+                assert s[i, j] == 0
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        if a != 0:
+            assert b % a == 0
+        else:
+            assert b == 0
+    return diag
+
+
+def test_snf_properties_random(rng):
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        m = random_int_matrix(rng, n, 20)
+        diag = check_snf(m)
+        det = m.det()
+        if det != 0:
+            prod = 1
+            for d in diag:
+                prod *= d
+            assert prod == abs(det)
+
+
+def test_snf_terminates_when_the_pivot_divides():
+    # Rank-3 preimage levels of the form below once made the row and column
+    # eliminations undo each other forever.
+    m = Matrix([[1, 0, 1], [0, 1, 1], [0, 0, 2]])
+    assert check_snf(m) == [1, 1, 2]
+    assert check_snf(m * 8) == [8, 8, 16]
+
+
+def test_snf_small_entries_3x3(rng):
+    for _ in range(300):
+        check_snf(random_int_matrix(rng, 3, 2))
+
+
+def gcd_of_k_minors(m, k):
+    from math import gcd
+
+    out = 0
+    for rows in itertools.combinations(range(m.rows), k):
+        for cols in itertools.combinations(range(m.cols), k):
+            sub = Matrix([[m[i, j] for j in cols] for i in rows])
+            out = gcd(out, sub.det())
+    return out
+
+
+def test_snf_matches_minor_gcds(rng):
+    # Independent oracle: d_1 * ... * d_k equals the gcd of all k x k minors.
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = random_int_matrix(rng, n, 12)
+        s, _, _ = snf(m)
+        prod = 1
+        for k in range(1, n + 1):
+            prod *= s[k - 1, k - 1]
+            assert prod == gcd_of_k_minors(m, k)
 
 
 # -- kernels ------------------------------------------------------------------
