@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul
 
 from .arith import FACTOR_BOUND, prime_factors
 from .lattices import Lattice, image, intersect, preimage
-from .matrices import Matrix, charpoly, is_companion, right_kernel_int
+from .matrices import Matrix, charpoly, is_companion, power_products, right_kernel_int
 from .polynomials import CyclotomicSplit, cyclotomic_split, format_poly, unit_factor_exactness
 
 FREE = "free"
@@ -96,21 +95,24 @@ def check_standing(action: AlgebraicAction, word_bound: int = 6) -> StandingRepo
     generators suffices, since images of finite-index subgroups compose).
     Faithfulness is pairwise distinctness of the generator matrices; for a
     free-abelian monoid it is additionally multiplicative independence,
-    tested up to the word bound.  The constructor has already proved that
-    the generators of a free-abelian action commute.
+    tested up to the word bound: a word den^-1 num is trivial exactly when
+    num == den.  The constructor has already proved that the generators of
+    a free-abelian action commute.
     """
     dets = {name: mat.det() for name, mat in action.gens}
     fi = all(d != 0 for d in dets.values())
     non_auto = any(abs(d) > 1 for d in dets.values())
     mats = action.matrices
-    faithful = len(set(mats)) == len(mats)
+    same = next(((na, nb) for (na, a), (nb, b) in itertools.combinations(action.gens, 2) if a == b), None)
+    faithful = same is None
     note = "pairwise distinct generator matrices"
+    if same:
+        note = f"generators {same[0]!r} and {same[1]!r} have the same matrix"
     commuting = action.monoid_kind == FREE_ABELIAN or all(
         a * b == b * a for a, b in itertools.combinations(mats, 2)
     )
     if action.monoid_kind == FREE_ABELIAN and faithful:
-        ident = Matrix.identity(action.n)
-        relation = next((pairs for pairs, mat in _word_matrices(action, word_bound) if mat == ident), None)
+        relation = next((pairs for pairs, num, den in _word_matrices(action, word_bound) if num == den), None)
         if relation is not None:
             faithful = False
             exps = dict(relation)
@@ -124,21 +126,6 @@ def check_standing(action: AlgebraicAction, word_bound: int = 6) -> StandingRepo
         pc = None
         jf = "assumed (automatic only for Ore monoids)"
     return StandingReport(fi, non_auto, faithful, note, commuting, pc, jf, dets)
-
-
-def _signed_vectors(num, total):
-    """All integer vectors with |v|_1 == total, first nonzero positive."""
-    for split in itertools.product(range(total + 1), repeat=num):
-        if sum(split) != total:
-            continue
-        nonzero = [i for i, e in enumerate(split) if e]
-        if not nonzero:
-            continue
-        for signs in itertools.product((1, -1), repeat=len(nonzero) - 1):
-            vec = list(split)
-            for i, s in zip(nonzero[1:], signs):
-                vec[i] *= s
-            yield tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +215,19 @@ def check_condition_F(
     action: AlgebraicAction, word_bound: int = 6, chi: CyclotomicSplit | None = None
 ) -> ConditionFReport:
     """Check that id - w acts injectively for every nontrivial group word w
-    up to the length bound, i.e. det(I - M_w) != 0 over Q.
+    up to the length bound, i.e. det(I - M_w) != 0 over Q; with M_w =
+    den^-1 num, that is det(den - num) != 0.
 
     For a single generator the bounded check is upgraded to the exact
     statement: injectivity at every power is equivalent to the generator
     having no root-of-unity eigenvalue.  chi is the cyclotomic split of that
     generator's characteristic polynomial, when the caller has it.
     """
-    ident = Matrix.identity(action.n)
     failing = None
     checked = 0
-    for pairs, mat in _word_matrices(action, word_bound):
+    for pairs, num, den in _word_matrices(action, word_bound):
         checked += 1
-        if (ident - mat).det() == 0:
+        if (den - num).det() == 0:
             failing = _describe(pairs, action.names)
             break
     equivalence = None
@@ -257,29 +244,38 @@ def check_condition_F(
 
 
 def _word_matrices(action: AlgebraicAction, bound: int):
-    """Yield (pairs, matrix) for every nontrivial group word of length at most
-    bound, pairs being its (generator index, nonzero exponent) letters:
-    exponent vectors by increasing length, each followed by its negation, for
-    a free-abelian monoid; reduced words depth first for a free one.  A word's
-    matrix is a product of table powers, or its prefix's matrix times one
-    letter, and each generator is inverted once."""
+    """Yield (pairs, num, den) for every nontrivial group word of length at
+    most bound, pairs being its (generator index, nonzero exponent) letters
+    and den^-1 num its matrix.
+
+    For a free-abelian monoid the words are exponent vectors e by increasing
+    length, each followed by its negation, and the word is the fraction
+    M^(e+) (M^(e-))^-1 of two monoid elements: num and den are integer power
+    products, and nothing is inverted.  For a free monoid they are reduced
+    words depth first, den is the identity, and num is the prefix's matrix
+    times one letter, each generator being inverted once."""
     mats = action.matrices
+    ident = Matrix.identity(action.n)
     if action.monoid_kind == FREE_ABELIAN:
-        tables = [{0: Matrix.identity(action.n)} for _ in mats]
-        for total in range(1, bound + 1):
-            for m, table in zip(mats, tables):
-                table[total] = table[total - 1] * m
-                table[-total] = m.inverse() if total == 1 else table[1 - total] * table[-1]
-            for vec in _signed_vectors(len(mats), total):
-                for exps in (vec, tuple(-e for e in vec)):
-                    pairs = tuple([(i, e) for i, e in enumerate(exps) if e])
-                    yield pairs, reduce(mul, (tables[i][e] for i, e in pairs))
+        powers = {(0,) * len(mats): ident}
+        for products in power_products(mats, bound):
+            powers.update(products)
+            for split in products:
+                # Every sign pattern on the entries after the first nonzero one.
+                first = next(i for i, e in enumerate(split) if e)
+                choices = [(e, -e) if e and i > first else (e,) for i, e in enumerate(split)]
+                for vec in itertools.product(*choices):
+                    pairs = tuple([(i, e) for i, e in enumerate(vec) if e])
+                    num = powers[tuple([max(e, 0) for e in vec])]
+                    den = powers[tuple([max(-e, 0) for e in vec])]
+                    yield pairs, num, den
+                    yield tuple([(i, -e) for i, e in pairs]), den, num
         return
     letters = [((i, 1), m) for i, m in enumerate(mats)] + [((i, -1), m.inverse()) for i, m in enumerate(mats)]
 
     def extend(word, mat):
         if word:
-            yield tuple(word), mat
+            yield tuple(word), mat, ident
         if len(word) == bound:
             return
         for (i, s), step in letters:
@@ -287,7 +283,7 @@ def _word_matrices(action: AlgebraicAction, bound: int):
                 continue
             yield from extend(word + [(i, s)], mat * step)
 
-    yield from extend([], Matrix.identity(action.n))
+    yield from extend([], ident)
 
 
 def _describe(pairs, names) -> str:

@@ -195,6 +195,24 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def power_products(mats, max_degree: int):
+    """Yield, for each total degree 1..max_degree, the dict {e: prod
+    mats[i]^e_i} over the exponent vectors e of that degree, in
+    itertools.product order.  Each product is one of the previous degree
+    times one matrix, and degree 1 holds the input matrices themselves; only
+    the previous degree's products are kept."""
+    previous: dict = {}
+    for total in range(1, max_degree + 1):
+        current = {}
+        for exp in itertools.product(range(total + 1), repeat=len(mats)):
+            if sum(exp) != total:
+                continue
+            i = next(j for j, e in enumerate(exp) if e)
+            current[exp] = previous[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] * mats[i] if total > 1 else mats[i]
+        yield current
+        previous = current
+
+
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import FACTOR_BOUND, prime_factors
-from .matrices import Matrix, charpoly
+from .matrices import Matrix, charpoly, power_products
 from .polynomials import Poly, _scalar, format_poly, format_terms
 
 DEGREVLEX = "degrevlex"
@@ -460,23 +460,6 @@ class QuotientAlgebra:
                 return self.var_matrices[exp.index(1)]
         return self._columns(f)
 
-    def monomial_matrices(self, max_degree: int):
-        """Yield (exponent, multiplication matrix) for every monomial of total
-        degree 1..max_degree, by degree and in product order within a degree.
-        Each matrix is one of the previous degree times one variable matrix,
-        and only the previous degree's matrices are kept."""
-        previous: dict = {}
-        for total in range(1, max_degree + 1):
-            current = {}
-            for exp in itertools.product(range(total + 1), repeat=self.nvars):
-                if sum(exp) != total:
-                    continue
-                i = next(j for j, e in enumerate(exp) if e)
-                x = self.var_matrices[i]
-                current[exp] = previous[exp[:i] + (exp[i] - 1,) + exp[i + 1 :]] * x if total > 1 else x
-                yield exp, current[exp]
-            previous = current
-
     def char_poly_and_norm(self, f: MPoly) -> tuple[Poly, int | Fraction]:
         """The characteristic polynomial chi of multiplication by f, and its
         norm |det T_f| = |chi(0)|."""
@@ -562,7 +545,8 @@ def commalg_conditions(gens, names, order: str = DEGREVLEX) -> IdealConditionsRe
     c_witness = next(
         (
             MPoly.monomial(nvars, exp).format(names)
-            for exp, m in qa.monomial_matrices(bound)
+            for products in power_products(qa.var_matrices, bound)
+            for exp, m in products.items()
             if (ident - m).det() != 0
         ),
         None,

@@ -64,6 +64,9 @@ def test_standing_known_cases():
     dup = AlgebraicAction(1, [("a", Matrix([[2]])), ("b", Matrix([[2]]))])
     rep3 = check_standing(dup)
     assert not rep3.faithful_on_generators
+    assert rep3.faithful_note == "generators 'a' and 'b' have the same matrix"
+    rep4 = check_standing(AlgebraicAction(1, dup.gens, FREE))
+    assert rep4.faithful_note == rep3.faithful_note
 
 
 def test_standing_multiplicative_dependence():
@@ -303,12 +306,27 @@ def test_exactness_multi_generator_reports_only():
 
 
 def test_word_evaluation():
-    # every word the walk yields carries the product of its letters' powers
-    for action in (doubling_tripling(), scalar_action(2, 3, kind=FREE)):
-        for pairs, mat in _word_matrices(action, 3):
-            expected = Matrix.identity(1)
+    # every word the walk yields is den^-1 num, with num = den * (the product
+    # of its letters' powers): num and den are integral power products for a
+    # free-abelian action, and den is the identity for a free one
+    diag = Matrix([[2, 0], [0, 1]]), Matrix([[1, 0], [0, 3]]), Matrix([[-1, 0], [0, 5]])
+    actions = (
+        doubling_tripling(),
+        AlgebraicAction(2, list(zip("abc", diag))),
+        scalar_action(2, 3, kind=FREE),
+    )
+    for action in actions:
+        ident = Matrix.identity(action.n)
+        for pairs, num, den in _word_matrices(action, 3):
+            expected = ident
             for i, e in pairs:
                 expected = expected * action.matrices[i] ** e
-            assert mat == expected and all(e for _, e in pairs)
+            assert num == den * expected and all(e for _, e in pairs)
+            if action.monoid_kind == FREE_ABELIAN:
+                assert num.is_integral() and den.is_integral()
+            else:
+                assert den == ident
+    mixed = {pairs for pairs, _, _ in _word_matrices(actions[1], 3)}
+    assert ((0, 1), (1, -1), (2, 1)) in mixed and ((0, -1), (1, 1), (2, -1)) in mixed
     assert _describe(((0, 2), (1, 1)), ("s", "t")) == "s^2 t"
     assert _describe(((1, -1), (0, 1)), ("s", "t")) == "t^-1 s"

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from algact.matrices import (
     is_companion,
     left_kernel_int,
     poly_invariant_factors,
+    power_products,
 )
 from algact.polynomials import Poly
+from algact.polyring import buchberger, parse_poly, quotient_algebra
 
 from conftest import poly_eval_matrix, random_int_matrix, random_unimodular
 from test_charpoly_reference import faddeev_leverrier
@@ -62,6 +65,46 @@ def test_det_matches_cofactor_small(rng):
 def test_pow_negative():
     m = Matrix([[2]])
     assert m**-2 == Matrix([[Fraction(1, 4)]])
+
+
+# -- power products -----------------------------------------------------------
+
+
+def assert_power_products(mats, max_degree):
+    """power_products against products of ** powers: degree t holds the
+    C(t+k-1, k-1) exponent vectors of that degree in product order, and
+    degree 1 the input matrices themselves."""
+    k = len(mats)
+    degrees = list(power_products(mats, max_degree))
+    assert len(degrees) == max_degree
+    for t, products in enumerate(degrees, 1):
+        keys = [e for e in itertools.product(range(t + 1), repeat=k) if sum(e) == t]
+        assert list(products) == keys and len(keys) == math.comb(t + k - 1, k - 1)
+        for e, m in products.items():
+            expected = Matrix.identity(mats[0].rows)
+            for a, x in zip(mats, e):
+                expected = expected * a**x
+            assert m == expected, e
+    if degrees:
+        for i, m in enumerate(mats):
+            assert degrees[0][tuple(int(j == i) for j in range(k))] is m
+
+
+def test_power_products_random_commuting(rng):
+    for _ in range(12):
+        n, k = rng.randint(1, 3), rng.randint(1, 3)
+        base = random_int_matrix(rng, n, 3)
+        mats = [poly_eval_matrix(Poly([rng.randint(-2, 2) for _ in range(3)]), base) for _ in range(k)]
+        assert_power_products(mats, rng.randint(0, 6))
+
+
+@pytest.mark.parametrize(
+    "names,gens", [(["u", "v"], ["2*u^2-3", "3*v^2-u-1"]), (["u", "v", "w"], ["2*u^2-1", "v^2-u", "w^2-3*v-u"])]
+)
+def test_power_products_quotient_algebra(names, gens):
+    qa = quotient_algebra(buchberger([parse_poly(g, names) for g in gens]), len(names))
+    assert not all(t.is_integral() for t in qa.var_matrices)
+    assert_power_products(qa.var_matrices, 4)
 
 
 # -- Hermite form -------------------------------------------------------------

@@ -37,6 +37,10 @@ def reference_standing(action, word_bound):
     mats = action.matrices
     faithful = len(set(mats)) == len(mats)
     note = "pairwise distinct generator matrices"
+    for (na, a), (nb, b) in itertools.combinations(action.gens, 2):
+        if a == b:
+            note = f"generators {na!r} and {nb!r} have the same matrix"
+            break
     commuting = all(a * b == b * a for a, b in itertools.combinations(mats, 2))
     if action.monoid_kind == FREE_ABELIAN and faithful:
         witness = reference_dependent_exponent_vector(mats, word_bound)
@@ -222,6 +226,8 @@ def test_reference_cases_cover_relations_and_failures():
     ],
 )
 def test_each_walk_inverts_each_generator_at_most_once(action, monkeypatch):
+    # A free walk inverts each generator at most once; a free-abelian walk
+    # works with integer power products only.
     calls = []
     inverse = Matrix.inverse
 
@@ -231,7 +237,7 @@ def test_each_walk_inverts_each_generator_at_most_once(action, monkeypatch):
 
     monkeypatch.setattr(Matrix, "inverse", counted)
     check_condition_F(action, 6)
-    assert len(calls) <= len(action.gens)
+    assert len(calls) <= (len(action.gens) if action.monoid_kind == FREE else 0)
     calls.clear()
     check_standing(action, 6)
-    assert len(calls) <= len(action.gens)
+    assert not calls
