@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for algebraic monoid actions on integer lattices.
 
 The package builds the desk-scale machinery of such actions: canonical
-lattice normal forms, constructible subgroup families, finite odometer
+lattice normal forms, constructible subgroup families, finite Hermite-box
 levels with their partial arrows, and the conjugacy and splitting
 invariants whose disagreement certifies two systems as non-isomorphic.
 """
@@ -16,7 +16,7 @@ from .actions import (
     constructible_family,
     exactness,
 )
-from .groupoid import level_map, translation_orbit_size, verify_word_identity
+from .groupoid import level_map, verify_word_identity
 from .invariants import ConjugacyClass, conjugacy_class, splitting_signature_distinguisher
 from .lattices import Lattice, QuotientLevel, image, intersect, lattice_sum, preimage, quotient
 from .matrices import Matrix, charpoly, hnf, poly_invariant_factors

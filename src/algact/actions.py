@@ -17,7 +17,7 @@ from functools import reduce
 
 from .arith import FACTOR_BOUND, prime_factors
 from .lattices import Lattice, image, intersect, preimage
-from .matrices import Matrix, charpoly, is_companion, power_products, right_kernel_int
+from .matrices import Matrix, charpoly, power_products, right_kernel_int
 from .polynomials import CyclotomicSplit, cyclotomic_split, format_poly, unit_factor_exactness
 
 FREE = "free"
@@ -381,10 +381,8 @@ def exactness(family: ConstructibleFamily, chi: CyclotomicSplit | None = None) -
     so the action is definitively not exact.
 
     Criterion part (single generator): `unit_factor_exactness` on the
-    cyclotomic split of the characteristic polynomial, with the
-    companion-case theorem as the basis of an exact verdict (labeled
-    heuristic for non-companion matrices).  chi is that split, when the
-    caller has it.
+    cyclotomic split of the characteristic polynomial, a theorem for every
+    injective integer matrix.  chi is that split, when the caller has it.
     """
     action = family.action
     total = Lattice.standard(action.n)
@@ -410,14 +408,12 @@ def exactness(family: ConstructibleFamily, chi: CyclotomicSplit | None = None) -
         mat = action.matrices[0]
         if chi is None:
             chi = cyclotomic_split(charpoly(mat))
-        label = "companion-case theorem" if is_companion(mat) else "heuristic for general matrices"
         criterion = {
             "charpoly": format_poly(chi.poly),
             "cyclotomic_divisor": chi.least_order,
             "unimodular_generator": abs(chi.poly[0]) == 1,
-            "label": label,
         }
-        verdict, basis, caveat = unit_factor_exactness(chi, label)
+        verdict, basis, caveat = unit_factor_exactness(chi)
         return ExactnessReport(
             verdict, verdict == "not_exact", basis, indices, strictly, False, None, criterion, caveat
         )

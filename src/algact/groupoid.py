@@ -3,8 +3,9 @@
 The profinite completion is never materialized; everything happens at one
 finite level Z^n / C for a constructible C.  An injective integer matrix s
 (a generator, or a monoid word evaluated) induces a well-defined injection
-(Z^n / s^{-1}C) -> (Z^n / C), translations act on the level transitively,
-and each word matrix satisfies its characteristic-polynomial identity.
+(Z^n / s^{-1}C) -> (Z^n / C), and each word matrix satisfies its
+characteristic-polynomial identity.  The translations by e_1, ..., e_n act on
+every level transitively, since <e_1, ..., e_n> + C = Z^n.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ def level_map(mat: Matrix, target: QuotientLevel) -> LevelMap:
     return LevelMap(source, table, im_index)
 
 
-def translation_orbit_size(level: Lattice) -> int:
-    """Size of each orbit on Z^n / C under the standard-basis translations:
-    x + (<e_1, ..., e_n> + C) / C has [Z^n : C] / [Z^n : <e_1, ..., e_n> + C]
-    points, the whole level (the finite-stage shadow of minimality)."""
-    return level.index() // lattice_sum(Lattice.standard(level.n), level).index()
-
-
 # ---------------------------------------------------------------------------
 # Word identities
 # ---------------------------------------------------------------------------
@@ -81,14 +75,16 @@ def verify_word_identity(name: str, mat: Matrix) -> WordIdentityReport:
     matrix of the word called name.
 
     chi is monic with integer coefficients, so kappa = (-chi_0, ...,
-    -chi_{d-1}, 1) and M^d = sum_i kappa_i M^i.  That identity is checked on
-    the unit vectors and the all-ones vector (Cayley-Hamilton); a failure on
-    any sample is an arithmetic bug, reported with a witness.  The semidirect
-    face is the same identity: (0, M)^d (x, I) = (M^d x, M^d) and the product
-    (kappa_0 x, I)(0, M) ... (kappa_{d-1} x, I)(0, M) = (sum_i kappa_i M^i x,
-    M^d), so it holds exactly when the module identity holds on x.  M must be
-    invertible (chi_0 != 0) for (0, M) to be a group element.  Also checks
-    det(I - M) = 1 - sum kappa_i.
+    -chi_{d-1}, 1) and M^d = sum_i kappa_i M^i.  That identity is checked once,
+    as the matrix chi(M) = 0 evaluated by Horner's rule: its n columns are its
+    values on the unit vectors (Cayley-Hamilton).  A nonzero column j is an
+    arithmetic bug, reported with the witness e_j for the first such j.  The
+    semidirect face is the same identity: (0, M)^d (x, I) = (M^d x, M^d) and
+    the product (kappa_0 x, I)(0, M) ... (kappa_{d-1} x, I)(0, M) = (sum_i
+    kappa_i M^i x, M^d), so it holds exactly when the module identity holds on
+    x.  M must be invertible (chi_0 != 0) for (0, M) to be a group element.
+    Also checks det(I - M) = 1 - sum kappa_i, which compares the Bareiss
+    determinant with the Krylov characteristic polynomial.
     """
     if not mat.is_square or not mat.is_integral():
         raise ValueError("word identities need a square integer matrix")
@@ -98,23 +94,15 @@ def verify_word_identity(name: str, mat: Matrix) -> WordIdentityReport:
     d = chi.degree
     kappas = tuple(-chi[i] for i in range(d)) + (1,)
     n = mat.rows
-    samples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    samples.append((1,) * n)
-    powers = [Matrix.identity(n)]
-    for _ in range(d):
-        powers.append(mat * powers[-1])
-    witness = None
-    for x in samples:
-        rhs = (0,) * n
-        for i in range(d):
-            term = powers[i].apply(x)
-            rhs = tuple(r + kappas[i] * t for r, t in zip(rhs, term))
-        if powers[d].apply(x) != rhs:
-            witness = x
-            break
+    identity = Matrix.identity(n)
+    value = identity * 0
+    for i in range(d, -1, -1):
+        value = value * mat + identity * chi[i]
+    column = next((j for j in range(n) if any(value.col(j))), None)
+    witness = None if column is None else tuple(int(i == column) for i in range(n))
     module_ok = witness is None
     epsilon = 1 - sum(kappas[:d])
-    eps_ok = (Matrix.identity(n) - mat).det() == epsilon
+    eps_ok = (identity - mat).det() == epsilon
     return WordIdentityReport(
         name,
         d,
@@ -123,6 +111,6 @@ def verify_word_identity(name: str, mat: Matrix) -> WordIdentityReport:
         module_ok,
         module_ok,
         eps_ok,
-        len(samples),
+        n,
         witness,
     )

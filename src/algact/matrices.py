@@ -423,16 +423,3 @@ def _quotient(rows: list[list[int]], basis) -> Matrix:
         cols.append([Fraction(x[i], scale) for i in rest])
     return Matrix(list(zip(*cols)))
 
-
-def is_companion(m: Matrix) -> bool:
-    if not m.is_square or not m.is_integral():
-        return False
-    n = m.rows
-    if n == 1:
-        return True
-    for j in range(n - 1):
-        for i in range(n):
-            want = 1 if i == j + 1 else 0
-            if m[i, j] != want:
-                return False
-    return True

@@ -259,15 +259,18 @@ UNIT_FACTOR_CAVEAT = (
 )
 
 
-def unit_factor_exactness(split: CyclotomicSplit, exact_basis: str) -> tuple[str, str, str | None]:
+def unit_factor_exactness(split: CyclotomicSplit) -> tuple[str, str, str | None]:
     """(verdict, basis, caveat) of the exactness rule for one injective
-    generator whose characteristic polynomial is split.poly.
+    integer matrix M whose characteristic polynomial is split.poly.
 
-    A unit constant term makes the generator an automorphism, and a
-    cyclotomic factor certifies an invariant subgroup on which it acts by
+    The rule is a theorem for every such M: L = the intersection of the
+    M^k Z^n satisfies M L = L, so a nonzero L carries a factor of chi with
+    constant term ±1; conversely such a factor u gives ker u(M) on Z^n
+    inside L.  A unit constant term makes the generator an automorphism, and
+    a cyclotomic factor certifies an invariant subgroup on which it acts by
     automorphisms; either way the action is not exact.  Otherwise it is
-    reported exact on exact_basis, under the caveat that no other factor has
-    constant term ±1.
+    reported exact, under the caveat that no other factor has constant term
+    ±1, since no such factor is searched for.
     """
     c0 = split.poly[0]
     if c0 == 0:
@@ -277,4 +280,5 @@ def unit_factor_exactness(split: CyclotomicSplit, exact_basis: str) -> tuple[str
     if split.orders:
         basis = f"cyclotomic factor of order {split.orders[0]} certifies an invariant subgroup acted on by automorphisms"
         return "not_exact", basis, None
-    return "exact", exact_basis, UNIT_FACTOR_CAVEAT
+    basis = "unit-factor rule for injective integer matrices: no cyclotomic factor and |chi(0)| > 1"
+    return "exact", basis, UNIT_FACTOR_CAVEAT

@@ -280,7 +280,8 @@ def test_exactness_doubling():
     assert rep.verdict == "exact"
     assert rep.empirical_indices == [1, 2, 4, 8, 16]
     assert rep.strictly_increasing
-    assert rep.criterion["label"] == "companion-case theorem"
+    assert rep.basis.startswith("unit-factor rule for injective integer matrices")
+    assert "label" not in rep.criterion
 
 
 def test_exactness_diag21():

@@ -490,7 +490,7 @@ def test_principal_exactness_agrees_with_action_pipeline():
     # unit-factor rule read off f alone.
     for coeffs in [(-2, 1), (2, -3, 1), (-1, -1, 1), (-2, 0, 1), (3, -1, 1)]:
         f = Poly(coeffs)
-        verdict, _, _ = unit_factor_exactness(cyclotomic_split(f), "companion-case theorem")
+        verdict, _, _ = unit_factor_exactness(cyclotomic_split(f))
         assert principal_analysis(f)["exactness"]["verdict"] == verdict
 
 

@@ -1,24 +1,29 @@
 """Differential test: `groupoid.verify_word_identity`, which checks the
-characteristic-polynomial identity on Z^n only, against the version that
-also checked it in the semidirect product Z^n ⋊ GL_n(Z), kept here as the
-reference.
+characteristic-polynomial identity once, as the matrix chi(M) = 0, against
+the version that checked it sample by sample on Z^n and in the semidirect
+product Z^n ⋊ GL_n(Z), kept here as the reference.
 
 The reference builds (0, M)^d (x, I) and the alternating product
 (kappa_0 x, I)(0, M) ... (kappa_{d-1} x, I)(0, M) with the group law
-(a, g)(b, h) = (a + g b, g h) on every sample x, and its group elements
-reject a singular matrix.
+(a, g)(b, h) = (a + g b, g h) on the unit vectors and the all-ones vector,
+and its group elements reject a singular matrix.  The all-ones sample can
+fail only after a unit vector has, so both report the same witness; only
+samples_checked differs, n + 1 against n.
 """
 
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import pytest
 
+from algact import groupoid
 from algact.groupoid import WordIdentityReport, verify_word_identity
 from algact.matrices import Matrix, charpoly
+from algact.polynomials import Poly
 from algact.presets import EXAMPLE_ACTIONS
 
-from conftest import random_nonsingular
+from conftest import block_diagonal, random_nonsingular
 
 
 @dataclass(frozen=True)
@@ -79,19 +84,50 @@ def reference_verify_word_identity(name, mat):
     return WordIdentityReport(name, d, kappas, epsilon, module_ok, sd_ok, eps_ok, len(samples), witness)
 
 
+def assert_matches_reference(name, mat):
+    """Every field against the reference, except samples_checked."""
+    rep = verify_word_identity(name, mat)
+    ref = reference_verify_word_identity(name, mat)
+    assert (rep.samples_checked, ref.samples_checked) == (mat.rows, mat.rows + 1)
+    assert rep == replace(ref, samples_checked=mat.rows), mat
+    return rep
+
+
 def test_random_matrices_match_reference():
     rng = random.Random("word-identity")
     for _ in range(320):
         m = random_nonsingular(rng, rng.randint(1, 4), 4)
-        rep = verify_word_identity("s", m)
-        assert rep == reference_verify_word_identity("s", m), m
-        assert rep.all_hold
+        assert assert_matches_reference("s", m).all_hold
 
 
 @pytest.mark.parametrize("preset", sorted(EXAMPLE_ACTIONS))
 def test_preset_generators_match_reference(preset):
     for name, mat in EXAMPLE_ACTIONS[preset]().gens:
-        assert verify_word_identity(name, mat) == reference_verify_word_identity(name, mat)
+        assert_matches_reference(name, mat)
+
+
+def test_wrong_charpoly_reports_the_reference_witness(monkeypatch):
+    # On M = diag(A, B), chi = chi_A (z + c) stands in for an arithmetic bug
+    # that the columns of A do not see: the first failing column is in B.
+    # The reference stops at the first failing sample before its semidirect
+    # check, so it leaves that flag True; the matrix check sets both.
+    rng = random.Random("word-identity-witness")
+    true_charpoly = charpoly
+    witnesses = set()
+    for _ in range(60):
+        a = rng.randint(1, 3)
+        top = random_nonsingular(rng, a, 4)
+        m = block_diagonal(top, random_nonsingular(rng, rng.randint(1, 4 - a), 4))
+        wrong = true_charpoly(top) * Poly((rng.choice((-2, -1, 1, 2)), 1))
+        monkeypatch.setattr(groupoid, "charpoly", lambda mat: wrong)
+        monkeypatch.setattr(sys.modules[__name__], "charpoly", lambda mat: wrong)
+        rep = verify_word_identity("s", m)
+        ref = reference_verify_word_identity("s", m)
+        expected = replace(ref, samples_checked=m.rows, semidirect_identity_holds=ref.module_identity_holds)
+        assert rep == expected, m
+        if rep.witness is not None:
+            witnesses.add(rep.witness.index(1))
+    assert witnesses == {1, 2, 3}
 
 
 @pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 0, 0], [0, 0, 3]]])
