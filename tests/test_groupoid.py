@@ -136,20 +136,17 @@ def test_word_identity_composite_word():
     assert rep.all_hold
 
 
-@pytest.mark.parametrize(
-    "chi, rows, witness",
-    [
+def test_word_identity_reports_a_failing_sample(monkeypatch):
+    # a wrong characteristic polynomial stands in for an arithmetic bug;
+    # under (z - 2)^2, diag(2, 3) passes on e_0 and fails first on e_1
+    for chi, rows, witness in [
         (Poly((-3, 1)), [[2]], (1,)),
-        # (M - 2)^2 = diag(0, 1): e_0 passes, e_1 is the first failing column
         (Poly((4, -4, 1)), [[2, 0], [0, 3]], (0, 1)),
-    ],
-)
-def test_word_identity_reports_a_failing_sample(monkeypatch, chi, rows, witness):
-    # a wrong characteristic polynomial stands in for an arithmetic bug
-    monkeypatch.setattr(groupoid, "charpoly", lambda mat: chi)
-    rep = verify_word_identity("s", Matrix(rows))
-    assert rep.witness == witness
-    assert not rep.module_identity_holds and not rep.semidirect_identity_holds
+    ]:
+        monkeypatch.setattr(groupoid, "charpoly", lambda mat: chi)
+        rep = verify_word_identity("s", Matrix(rows))
+        assert rep.witness == witness
+        assert not rep.module_identity_holds and not rep.semidirect_identity_holds
 
 
 def test_word_identity_rejects_non_integer_matrices():

@@ -16,8 +16,9 @@ The old criterion labelled an `exact` verdict "companion-case theorem" or
 integer matrix M: L = the intersection of the M^k Z^n satisfies M L = L, so a
 nonzero L carries a factor of chi with constant term ±1, and conversely such
 a factor u gives ker u(M) on Z^n inside L.  So the label and the `exact`
-basis text are the only fields the reference may disagree on; both
-directions are checked here on the non-companion generators.
+basis text are the only fields the reference may disagree on.  On the
+non-companion generators the verdict is compared with the companion of chi,
+and a cyclotomic factor's kernel is checked to lie in every M^K Z^n.
 """
 
 import functools
@@ -130,9 +131,9 @@ def non_companion_matrices() -> list[Matrix]:
     """Generators that are not companion matrices: [[2, 1], [0, 3]], block
     diagonals of a Phi_k companion with a non-unimodular block, block
     diagonals without a cyclotomic block, and a unimodular conjugate of each.
-    The blocks with the unit factor z^2 - 3z + 1 are not exact, but no
-    cyclotomic factor shows it: they read `exact` with decided = False, on
-    the caveat, for the companion of chi too."""
+    The ones with the block [[2, 1], [1, 1]] (unit factor z^2 - 3z + 1) are
+    not exact, but no cyclotomic factor shows it: they read `exact` with
+    decided = False, on the caveat, as the companion of chi does."""
     rng = random.Random("non-companion")
     blocks = [Matrix([[2]]), Matrix([[-3]]), Matrix([[2, 1], [0, 3]]), Matrix([[0, -2], [1, 0]])]
     cyclotomic_blocks = [Matrix.companion(cyclotomic(k)) for k in (1, 2, 3, 4, 5, 6, 8)]
